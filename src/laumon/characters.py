@@ -204,12 +204,12 @@ def w_refined_verma(b, n_max):
     return expand_factors(b, w_refined_verma_factors(b), n_max)
 
 
-def verify_WZ(b, n_max, brute=None, threads=1):
+def verify_WZ(b, n_max, brute=True):
     """Check the product form of the generating function against the
     refined Verma character times the B-truncation characters.
 
-    Also cross-checks the left side against the localization sum when the
-    truncation is small (or when `brute` is set explicitly).
+    Also cross-checks the left side against the localization sum unless
+    `brute` is False.
     """
     if b.ell < 2:
         raise ValueError("need ell >= 2")
@@ -221,10 +221,8 @@ def verify_WZ(b, n_max, brute=None, threads=1):
             factors.extend(b_character_factors(b, i, j))
     rhs = expand_factors(b, factors, n_max)
     report = series_diff_report(lhs, rhs)
-    if brute is None:
-        brute = n_max <= 4
     if brute:
-        brep = series_diff_report(brute_force_Z(r, n_max, threads=threads), lhs)
+        brep = series_diff_report(brute_force_Z(r, n_max), lhs)
         report["brute_checked"] = True
         report["brute_equal"] = brep["equal"]
         if not brep["equal"]:

@@ -11,7 +11,6 @@ Exit codes: 0 success or verified equality, 1 verification discrepancy,
 
 import argparse
 import json
-import os
 import random
 import sys
 from importlib import resources
@@ -39,9 +38,6 @@ def parse_args(argv=None):
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "text"), default="json",
                         help="output format (default json)")
-    common.add_argument("--threads", type=int, default=None,
-                        help="parallelism budget (default: cpu count; "
-                             "LAUMON_THREADS overrides)")
     common.add_argument("--out", default=None, metavar="PATH",
                         help="write output to a file instead of stdout")
 
@@ -110,16 +106,8 @@ def parse_args(argv=None):
                    help="run the full acceptance grid and diff golden fixtures")
 
     cfg = ap.parse_args(argv)
-    env = os.environ.get("LAUMON_THREADS")
-    if env is not None:
-        try:
-            cfg.threads = int(env)
-        except ValueError:
-            ap.error("LAUMON_THREADS must be an integer")
-    if cfg.threads is None:
-        cfg.threads = os.cpu_count() or 1
-    if cfg.threads < 1:
-        ap.error("--threads must be >= 1")
+    if getattr(cfg, "max_order", 0) < 0:
+        ap.error("--max-order must be >= 0")
     return cfg
 
 
@@ -160,8 +148,7 @@ def _verify_out(title, rep):
 def _h_zr_brute(cfg):
     r = localization.check_ranks(cfg.ranks)
     _warn_ranks(r)
-    return _series_out(localization.brute_force_Z(r, cfg.max_order,
-                                                  threads=cfg.threads))
+    return _series_out(localization.brute_force_Z(r, cfg.max_order))
 
 
 def _h_zr_closed(cfg):
@@ -179,7 +166,7 @@ def _h_zr_u(cfg):
 def _h_verify_thm(cfg):
     r = localization.check_ranks(cfg.ranks)
     _warn_ranks(r)
-    rep = closed_form.verify_theorem_Z(r, cfg.max_order, threads=cfg.threads)
+    rep = closed_form.verify_theorem_Z(r, cfg.max_order)
     return _verify_out("product form vs localization", rep)
 
 
@@ -192,7 +179,7 @@ def _h_verify_prop34(cfg):
 
 def _h_verify_wz(cfg):
     b = characters.BlockData(cfg.m, cfg.s)
-    rep = characters.verify_WZ(b, cfg.max_order, threads=cfg.threads)
+    rep = characters.verify_WZ(b, cfg.max_order)
     return _verify_out("W-character factorization", rep)
 
 
@@ -382,7 +369,7 @@ def golden_names():
     return out
 
 
-def run_acceptance(threads=1):
+def run_acceptance():
     """Run the whole acceptance grid; returns a list of result records."""
     results = []
 
@@ -394,7 +381,7 @@ def run_acceptance(threads=1):
     bad = []
     for r in ACCEPTANCE_RANKS:
         closed_cache[r] = closed_form.theorem_Z(r, 4)
-        if localization.brute_force_Z(r, 4, threads=threads) != closed_cache[r]:
+        if localization.brute_force_Z(r, 4) != closed_cache[r]:
             bad.append(str(list(r)))
     add("1 product form vs localization", not bad,
         "ranks %s at order 4%s" % (
@@ -418,7 +405,7 @@ def run_acceptance(threads=1):
     details = []
     for m, s in ACCEPTANCE_BLOCKS:
         b = characters.BlockData(m, s)
-        rep = characters.verify_WZ(b, 4, threads=threads)
+        rep = characters.verify_WZ(b, 4)
         if not rep["equal"]:
             ok4 = False
             details.append("m=%s s=%s" % (list(m), list(s)))
@@ -532,7 +519,7 @@ def run_acceptance(threads=1):
 
 
 def _h_acceptance(cfg):
-    results = run_acceptance(cfg.threads)
+    results = run_acceptance()
     all_passed = all(r["passed"] for r in results)
     payload = {"results": results, "all_passed": all_passed}
     width = max(len(r["criterion"]) for r in results)

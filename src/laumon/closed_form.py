@@ -115,11 +115,11 @@ def theorem_Z_u(r, n_max):
     return _expand_product(space, r, factors)
 
 
-def verify_theorem_Z(r, n_max, brute=None, threads=1):
+def verify_theorem_Z(r, n_max, brute=None):
     """Check the qtilde product form against the localization sum."""
     from .localization import brute_force_Z
     if brute is None:
-        brute = brute_force_Z(r, n_max, threads=threads)
+        brute = brute_force_Z(r, n_max)
     closed = theorem_Z(r, n_max)
     return series_diff_report(brute, closed)
 

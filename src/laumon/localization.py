@@ -6,10 +6,14 @@ This module is the independent oracle against which the closed-form
 product expressions are verified.  Fixed points of a component indexed by
 a rank vector r and an occupation vector n are tuples of colored Young
 diagrams, one per sector 1..sum(r), whose combined color counts equal n.
+Per-fixed-point data (Morse indices, tangent characters) enumerates the
+tuples; the generating function factors over the components instead, so
+it sums over single partitions and multiplies the R resulting series.
+It uses only partitions and the per-component Morse formula, never the
+closed product forms.
 """
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 
 from .partitions import Partition, colored_counts, enumerate_partitions
 from .series import Series, canonical_space
@@ -228,39 +232,32 @@ def poincare_polynomial(r, n):
     return dict(sorted(out.items()))
 
 
-def _chunk_terms(args):
-    r, fps = args
-    ell = len(r)
-    terms = {}
-    for fp in fps:
-        n = fp.occupation(r)
-        w = fixed_point_morse_index(fp, r)
-        mono = (2 * w,) + n
-        terms[mono] = terms.get(mono, 0) + 1
-    return terms
+def brute_force_Z(r, n_max):
+    """Localization sum: every fixed point with total box count <= n_max
+    contributes y^(2w) times the q-monomial of its occupation vector.
 
-
-def brute_force_Z(r, n_max, threads=1):
-    """Localization sum: for every occupation vector with total <= n_max,
-    each fixed point contributes y^(2w) times the q-monomial of its
-    occupation vector."""
+    The occupation vector and the Morse index of a fixed point are sums of
+    one term per component, so the sum over R-tuples of partitions is the
+    ordered product over beta of single-partition sums.  The factor of
+    beta depends only on (a(beta), head(a) - beta) and is built once.
+    """
     r = check_ranks(r)
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
     ell = len(r)
     space = canonical_space(ell, n_max)
-    fps = []
-    for total in range(n_max + 1):
-        fps.extend(_all_tuples(r, total))
-    threads = max(1, int(threads or 1))
-    if threads == 1 or len(fps) < 64:
-        merged = _chunk_terms((r, fps))
-    else:
-        size = (len(fps) + threads - 1) // threads
-        chunks = [(r, fps[k:k + size]) for k in range(0, len(fps), size)]
-        merged = {}
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for part in pool.map(_chunk_terms, chunks):
-                for m, c in part.items():
-                    merged[m] = merged.get(m, 0) + c
-    return Series.from_terms(space, merged)
+    mus = [mu for k in range(n_max + 1) for mu in enumerate_partitions(k)]
+    factors = {}
+    out = Series.one(space)
+    for beta in range(1, sum(r) + 1):
+        a = sector_index(beta, r)
+        key = (a, sum(r[: a + 1]) - beta)
+        if key not in factors:
+            terms = {}
+            for mu in mus:
+                mono = ((2 * morse_index_formula(mu, beta, r),)
+                        + colored_counts(mu, a, ell))
+                terms[mono] = terms.get(mono, 0) + 1
+            factors[key] = Series.from_terms(space, terms)
+        out = out * factors[key]
+    return out

@@ -231,22 +231,6 @@ class Series:
         return "Series(%s)" % (render_text(self),)
 
 
-def add(s1, s2):
-    return s1 + s2
-
-
-def mul(s1, s2):
-    return s1 * s2
-
-
-def coefficient(s, m):
-    return s.coefficient(m)
-
-
-def restrict(s, var):
-    return s.restrict(var)
-
-
 def geometric_inverse(space, m):
     """Expansion of 1/(1 - m) as 1 + m + m^2 + ... in the truncated ring.
 
@@ -285,14 +269,6 @@ def pochhammer_inverse(space, m, z):
     while space.gdeg(f) <= space.truncation:
         out = out * geometric_inverse(space, f)
         f = space.mono_mul(f, z)
-    return out
-
-
-def series_product(space, factors):
-    """Ordered product of a list of Series, starting from 1."""
-    out = Series.one(space)
-    for f in factors:
-        out = out * f
     return out
 
 

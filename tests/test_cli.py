@@ -15,15 +15,13 @@ def run_main(capsys, *argv):
     return code, cap.out, cap.err
 
 
-def test_parse_args_defaults(monkeypatch):
-    monkeypatch.delenv("LAUMON_THREADS", raising=False)
+def test_parse_args_defaults():
     cfg = cli.parse_args(["zr-closed", "--ranks", "2,1"])
     assert cfg.command == "zr-closed"
     assert cfg.ranks == (2, 1)
     assert cfg.max_order == 4
     assert cfg.format == "json"
     assert cfg.out is None
-    assert cfg.threads >= 1
     cfg = cli.parse_args(["verify-appendixA"])
     assert cfg.max_order == 12
     cfg = cli.parse_args(["verify-lemma32", "--max-order", "3"])
@@ -130,24 +128,19 @@ def test_zero_rank_warning(capsys):
     assert "zero entry" in err
 
 
-def test_threads_env_and_flag_agree(monkeypatch, capsys):
-    monkeypatch.delenv("LAUMON_THREADS", raising=False)
-    code, base, err = run_main(capsys, "zr-brute", "--ranks", "2,1",
-                               "--threads", "1")
-    assert code == 0
-    code, flag4, err = run_main(capsys, "zr-brute", "--ranks", "2,1",
-                                "--threads", "4")
-    assert flag4 == base
-    monkeypatch.setenv("LAUMON_THREADS", "4")
-    code, env4, err = run_main(capsys, "zr-brute", "--ranks", "2,1",
-                               "--threads", "1")
-    assert env4 == base
-
-
-def test_bad_threads_env(monkeypatch, capsys):
-    monkeypatch.setenv("LAUMON_THREADS", "many")
-    code, out, err = run_main(capsys, "zr-closed", "--ranks", "1,1")
-    assert code == 2
+def test_negative_order_exit_2(capsys):
+    operands = {"verify-wz": ("--m", "1,1", "--s", "1,2"),
+                "characters": ("--m", "1,1", "--s", "1,2"),
+                "verma-denominator": ("--size", "2"),
+                "verify-appendixA": (), "verify-lemma32": ()}
+    commands = ("zr-brute", "zr-closed", "zr-u", "verify-thm",
+                "verify-prop34", "verify-appendixB") + tuple(operands)
+    for command in commands:
+        argv = (command,) + operands.get(command, ("--ranks", "1,1"))
+        assert run_main(capsys, *argv, "--max-order", "0")[0] == 0, command
+        code, out, err = run_main(capsys, *argv, "--max-order", "-3")
+        assert (code, out) == (2, ""), command
+        assert "--max-order must be >= 0" in err
 
 
 def test_module_entry_point():
@@ -159,8 +152,7 @@ def test_module_entry_point():
 
 
 def test_acceptance_all_pass(capsys):
-    code, out, err = run_main(capsys, "acceptance", "--format", "text",
-                              "--threads", "1")
+    code, out, err = run_main(capsys, "acceptance", "--format", "text")
     assert code == 0
     assert out.rstrip().endswith("ALL PASS")
 

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from laumon.closed_form import (theorem_Z, theorem_Z_u, u_exponents,
                                 verify_appendixB, verify_change_of_variables,
@@ -25,6 +27,16 @@ def test_theorem_Z_matches_oracle():
     for r in ((1, 1), (2, 1), (1, 1, 1)):
         assert theorem_Z(r, 3) == brute_force_Z(r, 3)
     assert verify_theorem_Z((2, 1), 3) == {"equal": True}
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(r=st.lists(st.integers(0, 2), min_size=2, max_size=4)
+       .filter(any).map(tuple),
+       n_max=st.integers(0, 4))
+def test_three_methods_agree_on_random_ranks(r, n_max):
+    z = brute_force_Z(r, n_max)
+    assert theorem_Z(r, n_max) == z
+    assert theorem_Z_u(r, n_max) == z
 
 
 def test_theorem_Z_nonnegative_coefficients():

@@ -9,7 +9,7 @@ from laumon.localization import (FixedPoint, brute_force_Z, check_ranks,
                                  poincare_polynomial, sector_index,
                                  tangent_character, tangent_count)
 from laumon.partitions import Partition
-from laumon.series import to_json
+from laumon.series import Series, canonical_space, to_json
 
 
 def mus_of(fp):
@@ -128,11 +128,24 @@ def test_brute_force_Z_truncation_coherence():
     assert z3.truncate(2) == z2
 
 
-def test_brute_force_Z_thread_determinism():
-    a = brute_force_Z((1, 1, 1), 3, threads=1)
-    b = brute_force_Z((1, 1, 1), 3, threads=4)
-    assert a == b
-    assert to_json(a) == to_json(b)
+def tuple_sum(r, n_max):
+    """Reference localization sum over every R-tuple of partitions."""
+    terms = {}
+    for total in range(n_max + 1):
+        for fp in fixed_points_of_size(r, total):
+            m = (2 * fixed_point_morse_index(fp, r),) + fp.occupation(r)
+            terms[m] = terms.get(m, 0) + 1
+    return Series.from_terms(canonical_space(len(r), n_max), terms)
+
+
+def test_brute_force_Z_matches_tuple_enumeration():
+    for r in ((1, 1), (2, 1), (1, 1, 1), (2, 2, 1), (2, 1, 1), (0, 1),
+              (2, 0, 1)):
+        ref = tuple_sum(r, 5)
+        for n_max in range(6):
+            z = brute_force_Z(r, n_max)
+            assert z == ref.truncate(n_max), (r, n_max)
+            assert to_json(z) == to_json(ref.truncate(n_max))
 
 
 def test_occupation_roundtrip():
