@@ -8,7 +8,9 @@ s_1 m_1 times, so that r_{ell-c} = s_i exactly when c lies in block i.
 Character factors are held symbolically as (y-exponent, z-exponent,
 u-exponent vector) triples and resolved to canonical (y, q) monomials
 through the rank vector, or to a separate (z, v) space with the u's kept
-formal.  Every factor denotes one inverse Pochhammer family stepped by z.
+formal.  Every factor denotes one inverse Pochhammer family stepped by z;
+in (y, q) each resolves to a (base, step) monomial pair, and one call of
+the series kernel's `expand` divides out the whole list.
 """
 
 import itertools
@@ -16,7 +18,7 @@ from collections import namedtuple
 
 from .closed_form import qtilde_monomial, theorem_Z, u_exponents
 from .localization import brute_force_Z
-from .series import (Series, SeriesError, VariableSpace, canonical_space,
+from .series import (Series, VariableSpace, canonical_space, expand,
                      pochhammer_inverse, series_diff_report, substitute)
 
 UZFactor = namedtuple("UZFactor", ["y", "z", "u"])
@@ -143,14 +145,8 @@ def expand_factors(b, factors, n_max):
     r = rank_vector_from(b)
     space = canonical_space(b.ell, n_max)
     z = qtilde_monomial(space, r, [1] * b.ell)
-    out = Series.one(space)
-    for f in factors:
-        m0 = factor_base_canonical(space, r, f)
-        if space.gdeg(m0) < 1:
-            raise SeriesError("internal: character factor of q-degree %d"
-                              % space.gdeg(m0))
-        out = out * pochhammer_inverse(space, m0, z)
-    return out
+    return expand(space, [(factor_base_canonical(space, r, f), z)
+                          for f in factors])
 
 
 def render_factor(f):

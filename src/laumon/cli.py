@@ -388,9 +388,9 @@ def run_acceptance():
             [list(r) for r in ACCEPTANCE_RANKS],
             "" if not bad else "; mismatch at " + ", ".join(bad)))
 
-    z = closed_cache[(1, 1)]
-    spot1 = {m[0]: c for m, c in z.terms.items() if m[1:] == (1, 1)}
-    spot2 = {m[0]: c for m, c in z.terms.items() if m[1:] == (2, 0)}
+    z = sorted(closed_cache[(1, 1)].terms.items())
+    spot1 = {m[0]: c for m, c in z if m[1:] == (1, 1)}
+    spot2 = {m[0]: c for m, c in z if m[1:] == (2, 0)}
     ok2 = spot1 == {0: 1, 2: 2} and spot2 == {0: 1}
     add("2 spot coefficients of Z_(1,1)", ok2,
         "q0*q1 -> %s (want {0:1, 2:2}), q0^2 -> %s (want {0:1})"

@@ -5,13 +5,15 @@ the product identities used to pass between the different variable sets.
 All products live in the canonical space (y, q0..q_{ell-1}) and are built
 from shifted variables qtilde_a = y^(2 r_a) q_a, their cyclic products
 z = qtilde_0 * .. * qtilde_{ell-1}, and the telescoping combinations
-u_c = prod_{b=c}^{ell-1} qtilde_{-b}^(-1) with u_ell = 1.
+u_c = prod_{b=c}^{ell-1} qtilde_{-b}^(-1) with u_ell = 1.  A product is
+held as a list of (y_exp, qtilde exponents) factors, each standing for the
+inverse Pochhammer family of that base stepped by z; it resolves to
+(base, step) monomials and is expanded by one call of `series.expand`.
 """
 
 from .localization import check_ranks
 from .partitions import partition_sum_lhs
-from .series import (Series, SeriesError, canonical_space,
-                     pochhammer_inverse, series_diff_report)
+from .series import canonical_space, expand, series_diff_report
 
 
 def qtilde_monomial(space, r, qt_exps, y_exp=0):
@@ -24,14 +26,19 @@ def qtilde_monomial(space, r, qt_exps, y_exp=0):
     return tuple(exps)
 
 
+def z_over_tail(ell, a, c):
+    """qtilde exponent vector of z * prod_{b=c}^{ell-1} qtilde_{a-b}^(-1)."""
+    v = [1] * ell
+    for b in range(c, ell):
+        v[(a - b) % ell] -= 1
+    return v
+
+
 def u_exponents(ell, c):
     """qtilde exponent vector of u_c; empty for c = ell."""
     if not 1 <= c <= ell:
         raise ValueError("u index %d out of range 1..%d" % (c, ell))
-    v = [0] * ell
-    for b in range(c, ell):
-        v[(-b) % ell] -= 1
-    return v
+    return _add(z_over_tail(ell, 0, c), [-1] * ell)
 
 
 def _add(*vecs):
@@ -46,23 +53,11 @@ def _neg(v):
     return [-e for e in v]
 
 
-def _expand_product(space, r, factors):
-    """Product of inverse Pochhammer factors (m)_inf^(-1) with step z.
-
-    Each factor is a pair (y_exp, qt_exps).  A factor whose base monomial
-    has non-positive q-degree would make the product ill-defined, so that
-    is an internal error.
-    """
-    ell = len(r)
-    z = qtilde_monomial(space, r, [1] * ell)
-    out = Series.one(space)
-    for y_exp, qt in factors:
-        m0 = qtilde_monomial(space, r, qt, y_exp)
-        if space.gdeg(m0) < 1:
-            raise SeriesError("internal: product factor of q-degree %d"
-                              % space.gdeg(m0))
-        out = out * pochhammer_inverse(space, m0, z)
-    return out
+def qtilde_families(space, r, factors):
+    """(base, step) monomials of the families (m)_inf^(-1) stepped by z,
+    one per factor pair (y_exp, qt_exps)."""
+    z = qtilde_monomial(space, r, [1] * len(r))
+    return [(qtilde_monomial(space, r, qt, y_exp), z) for y_exp, qt in factors]
 
 
 def theorem_Z(r, n_max):
@@ -81,11 +76,8 @@ def theorem_Z(r, n_max):
         for t in range(1, r[a] + 1):
             factors.append((-2 * t, ones))
             for c in range(1, ell):
-                qt = list(ones)
-                for b in range(c, ell):
-                    qt[(a - b) % ell] -= 1
-                factors.append((-2 * t, qt))
-    return _expand_product(space, r, factors)
+                factors.append((-2 * t, z_over_tail(ell, a, c)))
+    return expand(space, qtilde_families(space, r, factors))
 
 
 def theorem_Z_u(r, n_max):
@@ -112,7 +104,7 @@ def theorem_Z_u(r, n_max):
                 factors.append((-2 * t, _add(ones, ua, _neg(uc))))
             for t in range(1, r[ell - a] + 1):
                 factors.append((-2 * t, _add(_neg(ua), uc)))
-    return _expand_product(space, r, factors)
+    return expand(space, qtilde_families(space, r, factors))
 
 
 def verify_theorem_Z(r, n_max, brute=None):
@@ -139,37 +131,22 @@ def verify_partition_identity(a, ell, n_max):
     z = X_0 * .. * X_{ell-1}.
     """
     lhs = partition_sum_lhs(a, ell, n_max)
-    space = lhs.space
     # variable order (v, X0, .., X{ell-1}); exponent tuples built directly
-    z = tuple([0] + [1] * ell)
-    rhs = Series.one(space)
-    bases = [tuple([1] + [1] * ell)]
-    for c in range(1, ell):
-        exps = [1] + [1] * ell
-        for b in range(c, ell):
-            exps[1 + (a - b) % ell] -= 1
-        bases.append(tuple(exps))
-    for m0 in bases:
-        if space.gdeg(m0) < 1:
-            raise SeriesError("internal: partition-identity factor of "
-                              "q-degree %d" % space.gdeg(m0))
-        rhs = rhs * pochhammer_inverse(space, m0, z)
+    ones = [1] * ell
+    z = tuple([0] + ones)
+    bases = [ones] + [z_over_tail(ell, a, c) for c in range(1, ell)]
+    rhs = expand(lhs.space, [(tuple([1] + qt), z) for qt in bases])
     return series_diff_report(lhs, rhs)
 
 
 def _appendixB_lhs_factors(r):
     ell = len(r)
-    ones = [1] * ell
     factors = []
     for a in range(1, ell):
         for t in range(1, r[a] + 1):
             for c in range(1, ell):
-                if c == a:
-                    continue
-                qt = list(ones)
-                for b in range(c, ell):
-                    qt[(a - b) % ell] -= 1
-                factors.append((-2 * t, qt))
+                if c != a:
+                    factors.append((-2 * t, z_over_tail(ell, a, c)))
     return factors
 
 
@@ -179,14 +156,10 @@ def _appendixB_split_factors(r):
     factors = []
     for a in range(1, ell):
         for c in range(a + 1, ell):
-            qt = list(ones)
-            for b in range(c, ell):
-                qt[(a - b) % ell] -= 1
+            qt = z_over_tail(ell, a, c)
+            pos = _add(ones, _neg(qt))
             for t in range(1, r[a] + 1):
                 factors.append((-2 * t, qt))
-            pos = [0] * ell
-            for b in range(c, ell):
-                pos[(a - b) % ell] += 1
             for t in range(1, r[a - c + ell] + 1):
                 factors.append((-2 * t, pos))
     return factors
@@ -219,9 +192,10 @@ def verify_appendixB(r, n_max):
     r = check_ranks(r)
     ell = len(r)
     space = canonical_space(ell, n_max)
-    lhs = _expand_product(space, r, _appendixB_lhs_factors(r))
-    split = _expand_product(space, r, _appendixB_split_factors(r))
-    uform = _expand_product(space, r, _appendixB_u_factors(r))
+    lhs, split, uform = (expand(space, qtilde_families(space, r, build(r)))
+                         for build in (_appendixB_lhs_factors,
+                                       _appendixB_split_factors,
+                                       _appendixB_u_factors))
     checks = [
         ("raw_vs_split", series_diff_report(lhs, split)),
         ("split_vs_u", series_diff_report(split, uform)),

@@ -11,6 +11,10 @@ tuples; the generating function factors over the components instead, so
 it sums over single partitions and multiplies the R resulting series.
 It uses only partitions and the per-component Morse formula, never the
 closed product forms.
+
+Rank vectors are validated once, by `check_ranks` at the entry points
+(`brute_force_Z` and the fixed-point enumerations); the per-component
+helpers take an already-checked tuple.
 """
 
 import itertools
@@ -42,7 +46,6 @@ def check_occupation(n, ell):
 
 def sector_index(beta, r):
     """The unique a with r_0+..+r_{a-1}+1 <= beta <= r_0+..+r_a."""
-    r = check_ranks(r)
     if not 1 <= beta <= sum(r):
         raise ValueError("beta=%d out of range 1..%d" % (beta, sum(r)))
     acc = 0
@@ -65,7 +68,6 @@ class FixedPoint:
 
     def occupation(self, r):
         """Combined per-color box counts of all components."""
-        r = check_ranks(r)
         ell = len(r)
         n = [0] * ell
         for beta, mu in enumerate(self.mus, start=1):
@@ -150,7 +152,6 @@ def tangent_character(fp, r):
     times the prefactor Omega^(a(beta)-a(alpha)), so the Omega exponent of
     a term equals a(beta) - a(alpha) + t2 mod ell.
     """
-    r = check_ranks(r)
     ell = len(r)
     big_r = sum(r)
     if len(fp.mus) != big_r:
@@ -197,7 +198,6 @@ def tangent_count(elements):
 def morse_index_formula(mu, beta, r):
     """Index contribution of one component: the color counts paired with
     the rank entries, minus the column count times the in-sector offset."""
-    r = check_ranks(r)
     ell = len(r)
     a = sector_index(beta, r)
     counts = colored_counts(mu, a, ell)
@@ -213,7 +213,7 @@ def fixed_point_morse_index(fp, r):
 def morse_index_oracle(fp, r):
     """Count invariant tangent monomials with negative T2 weight for pairs
     alpha >= beta, nonpositive T2 weight for pairs alpha < beta."""
-    ell = len(check_ranks(r))
+    ell = len(r)
     total = 0
     for e in invariant_part(tangent_character(fp, r), ell):
         alpha, beta = e.sector

@@ -7,10 +7,13 @@ spaces with ungraded Laurent directions that would otherwise produce
 infinitely many terms at a fixed graded degree).
 
 Monomials are exponent tuples aligned with the variable order.  Series
-coefficients are arbitrary-precision integers; no division ever occurs.
+coefficients are arbitrary-precision integers.  Products of inverse
+Pochhammer families are expanded by dividing by each factor (1 - m) in
+place, which only ever adds coefficients; no integer division occurs.
 """
 
 import json
+from operator import add
 
 
 class SeriesError(Exception):
@@ -270,6 +273,38 @@ def pochhammer_inverse(space, m, z):
         out = out * geometric_inverse(space, f)
         f = space.mono_mul(f, z)
     return out
+
+
+def expand(space, families):
+    """Product over (base, step) families of prod_{k>=0} 1/(1 - base*step^k).
+
+    Divides by one factor (1 - m) at a time, in place: the terms sit in
+    buckets by graded degree, and sweeping the degrees upward, the
+    coefficient at x + m gains the coefficient at x, already divided.
+    Truncation by graded degree is a ring map only without caps, so a
+    capped space is refused; every base and step needs graded degree >= 1.
+    """
+    if space.caps:
+        raise SeriesError("expand: capped space")
+    trunc = space.truncation
+    buckets = [{} for _ in range(trunc + 1)]
+    buckets[0][space.unit()] = 1
+    for base, step in families:
+        m = tuple(base)
+        d = space.gdeg(m)
+        if d < 1 or space.gdeg(step) < 1:
+            raise SeriesError("expand: family (%r, %r) of graded degree < 1"
+                              % (m, tuple(step)))
+        while d <= trunc:
+            for deg in range(trunc - d + 1):
+                dst = buckets[deg + d]
+                get = dst.get
+                for x, c in buckets[deg].items():
+                    x = tuple(map(add, x, m))
+                    dst[x] = get(x, 0) + c
+            m = tuple(map(add, m, step))
+            d = space.gdeg(m)
+    return Series(space, {x: c for b in buckets for x, c in b.items()})
 
 
 def substitute(s, mapping, target):

@@ -29,7 +29,7 @@ def test_theorem_Z_matches_oracle():
     assert verify_theorem_Z((2, 1), 3) == {"equal": True}
 
 
-@settings(max_examples=40, deadline=None, database=None)
+@settings(max_examples=40)
 @given(r=st.lists(st.integers(0, 2), min_size=2, max_size=4)
        .filter(any).map(tuple),
        n_max=st.integers(0, 4))

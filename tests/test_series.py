@@ -5,11 +5,14 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from laumon.series import (Series, SeriesError, VariableSpace, canonical_space,
-                           from_json, from_json_dict, geometric_inverse,
-                           pochhammer_inverse, render_text, series_diff_report,
-                           substitute, to_json, to_json_dict)
+                           expand, from_json, from_json_dict,
+                           geometric_inverse, pochhammer_inverse, render_text,
+                           series_diff_report, substitute, to_json,
+                           to_json_dict)
 
 
 def space2(trunc=4):
@@ -118,6 +121,60 @@ def test_pochhammer_inverse_is_inverse():
     assert finite * p == Series.one(sp)
     with pytest.raises(SeriesError):
         pochhammer_inverse(sp, m, sp.mono(y=1))
+
+
+@st.composite
+def families(draw):
+    """A canonical space with 2-4 q-variables at order <= 6 and up to three
+    (base, step) families of q-degree >= 1, y-exponents of either sign."""
+    ell = draw(st.integers(2, 4))
+    space = canonical_space(ell, draw(st.integers(0, 6)))
+
+    def mono():
+        qs = draw(st.lists(st.integers(-1, 2), min_size=ell, max_size=ell)
+                  .filter(lambda v: sum(v) >= 1))
+        return (draw(st.integers(-4, 4)),) + tuple(qs)
+
+    return space, [(mono(), mono()) for _ in range(draw(st.integers(0, 3)))]
+
+
+@settings(max_examples=60)
+@given(families())
+def test_expand_equals_pochhammer_product(case):
+    space, fams = case
+    want = Series.one(space)
+    for base, step in fams:
+        want = want * pochhammer_inverse(space, base, step)
+    assert expand(space, fams) == want
+
+
+@settings(max_examples=60)
+@given(families(), st.integers(0, 6))
+def test_expand_commutes_with_truncation(case, k):
+    space, fams = case
+    k = min(k, space.truncation)
+    assert (expand(space, fams).truncate(k)
+            == expand(space.with_truncation(k), fams))
+
+
+@settings(max_examples=30)
+@given(families())
+def test_expand_json_round_trip(case):
+    s = expand(*case)
+    assert from_json(to_json(s)) == s
+
+
+def test_expand_rejects_caps_and_degree_below_one():
+    capped = VariableSpace(("z", "v"), ("z",), 3, {"v": 2})
+    with pytest.raises(SeriesError):
+        expand(capped, [((1, 0), (1, 0))])
+    sp = space2(4)
+    z = sp.mono(q0=1, q1=1)
+    for base, step in ((sp.mono(y=2), z), (sp.mono(q0=-1, q1=1), z),
+                       (sp.mono(q0=1), sp.mono(y=1)),
+                       (sp.mono(q0=1), sp.mono(q0=1, q1=-1))):
+        with pytest.raises(SeriesError):
+            expand(sp, [(base, step)])
 
 
 def test_substitute_is_homomorphism():
