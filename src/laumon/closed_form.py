@@ -186,21 +186,25 @@ def verify_appendixB(r, n_max):
     Three expansions are compared pairwise: the raw double product over
     ordered residue pairs, the split form that collects each unordered
     pair into an inverse-variable family and a positive-variable family,
-    and the form written in the u variables.  For ell = 2 all three are
-    empty products and the checks hold trivially.
+    and the form written in the u variables; the report counts the factor
+    families of each.  Raises ValueError when all three are empty (ell = 2,
+    or r_1 = .. = r_{ell-1} = 0), as the checks would compare 1 with 1.
     """
     r = check_ranks(r)
-    ell = len(r)
-    space = canonical_space(ell, n_max)
-    lhs, split, uform = (expand(space, qtilde_families(space, r, build(r)))
-                         for build in (_appendixB_lhs_factors,
-                                       _appendixB_split_factors,
-                                       _appendixB_u_factors))
+    forms = {"raw": _appendixB_lhs_factors(r),
+             "split": _appendixB_split_factors(r),
+             "u": _appendixB_u_factors(r)}
+    if not any(forms.values()):
+        raise ValueError("ranks %s have no off-diagonal factors to compare"
+                         % (list(r),))
+    space = canonical_space(len(r), n_max)
+    lhs, split, uform = (expand(space, qtilde_families(space, r, factors))
+                         for factors in forms.values())
     checks = [
         ("raw_vs_split", series_diff_report(lhs, split)),
         ("split_vs_u", series_diff_report(split, uform)),
         ("raw_vs_u", series_diff_report(lhs, uform)),
     ]
-    out = {"equal": all(rep["equal"] for _, rep in checks),
-           "checks": [dict(rep, name=name) for name, rep in checks]}
-    return out
+    return {"equal": all(rep["equal"] for _, rep in checks),
+            "checks": [dict(rep, name=name) for name, rep in checks],
+            "families": {name: len(f) for name, f in forms.items()}}

@@ -158,26 +158,28 @@ def tangent_character(fp, r):
         raise ValueError("fixed point has %d components, expected %d"
                          % (len(fp.mus), big_r))
     sectors = [sector_index(b, r) for b in range(1, big_r + 1)]
+    rows = [mu.rows for mu in fp.mus]
     heights = [mu.col_heights() for mu in fp.mus]
     out = []
     for alpha in range(1, big_r + 1):
-        mu_a = fp.mus[alpha - 1]
-        h_a = heights[alpha - 1]
+        rows_a, h_a = rows[alpha - 1], heights[alpha - 1]
         for beta in range(1, big_r + 1):
-            mu_b = fp.mus[beta - 1]
-            h_b = heights[beta - 1]
+            rows_b, h_b = rows[beta - 1], heights[beta - 1]
             shift = sectors[beta - 1] - sectors[alpha - 1]
             terms = {}
-            for i, j in mu_a.boxes():
-                t1 = -mu_b.row(j) + i
-                t2 = h_a[i - 1] - j + 1
-                key = (t1, t2, (shift + t2) % ell)
-                terms[key] = terms.get(key, 0) + 1
-            for i, j in mu_b.boxes():
-                t1 = mu_a.row(j) - i + 1
-                t2 = -h_b[i - 1] + j
-                key = (t1, t2, (shift + t2) % ell)
-                terms[key] = terms.get(key, 0) + 1
+            # boxes row by row, as Partition.boxes() yields them
+            for j, r_a in enumerate(rows_a, start=1):
+                r_b = rows_b[j - 1] if j <= len(rows_b) else 0
+                for i in range(1, r_a + 1):
+                    t2 = h_a[i - 1] - j + 1
+                    key = (i - r_b, t2, (shift + t2) % ell)
+                    terms[key] = terms.get(key, 0) + 1
+            for j, r_b in enumerate(rows_b, start=1):
+                r_a = rows_a[j - 1] if j <= len(rows_a) else 0
+                for i in range(1, r_b + 1):
+                    t2 = j - h_b[i - 1]
+                    key = (r_a - i + 1, t2, (shift + t2) % ell)
+                    terms[key] = terms.get(key, 0) + 1
             out.append(RepRingElement((alpha, beta), terms))
     return out
 
@@ -210,17 +212,20 @@ def fixed_point_morse_index(fp, r):
                for beta, mu in enumerate(fp.mus, start=1))
 
 
-def morse_index_oracle(fp, r):
+def morse_index_from_tangent(elements, ell):
     """Count invariant tangent monomials with negative T2 weight for pairs
     alpha >= beta, nonpositive T2 weight for pairs alpha < beta."""
-    ell = len(r)
     total = 0
-    for e in invariant_part(tangent_character(fp, r), ell):
+    for e in elements:
         alpha, beta = e.sector
-        for (_, t2, _), c in e.terms.items():
-            if t2 < 0 or (alpha < beta and t2 == 0):
+        for (_, t2, om), c in e.terms.items():
+            if om % ell == 0 and (t2 < 0 or (alpha < beta and t2 == 0)):
                 total += c
     return total
+
+
+def morse_index_oracle(fp, r):
+    return morse_index_from_tangent(tangent_character(fp, r), len(r))
 
 
 def poincare_polynomial(r, n):

@@ -39,9 +39,6 @@ class Partition:
         return tuple(sum(1 for r in self.rows if r >= i)
                      for i in range(1, self.col + 1))
 
-    def col_height(self, i):
-        return sum(1 for r in self.rows if r >= i) if i >= 1 else 0
-
     def boxes(self):
         for j, r in enumerate(self.rows, start=1):
             for i in range(1, r + 1):
@@ -100,14 +97,14 @@ def _check_residue(c, ell):
 
 
 def count_N1_geq(mu, c, ell):
-    """Boxes (i, j) with col_height(i) - j congruent to c mod ell."""
+    """Boxes (i, j) whose column height h(i) has h(i) - j = c mod ell."""
     _check_residue(c, ell)
     heights = mu.col_heights()
     return sum(1 for i, j in mu.boxes() if (heights[i - 1] - j - c) % ell == 0)
 
 
 def count_N1_gt(mu, c, ell):
-    """Same as count_N1_geq but restricted to col_height(i) - j > 0."""
+    """Same as count_N1_geq but restricted to h(i) - j > 0."""
     _check_residue(c, ell)
     heights = mu.col_heights()
     return sum(1 for i, j in mu.boxes()
@@ -118,6 +115,23 @@ def count_N2_geq(mu, c, ell):
     """Boxes (i, j) with j - 1 congruent to c mod ell."""
     _check_residue(c, ell)
     return sum(r for j, r in enumerate(mu.rows, start=1) if (j - 1 - c) % ell == 0)
+
+
+def box_count_table(mu, ell):
+    """(N1>=, N1>, N2>=) of mu, each a list indexed by c % ell, from one pass
+    over the rows: N1 counts the legs h(i) - j of the boxes and N2 adds each
+    row length at its row index j - 1, as the count_* functions do."""
+    if ell < 2:
+        raise ValueError("ell must be >= 2")
+    heights = mu.col_heights()
+    n1_geq, n1_gt, n2_geq = [0] * ell, [0] * ell, [0] * ell
+    for j, r in enumerate(mu.rows, start=1):
+        n2_geq[(j - 1) % ell] += r
+        for h in heights[:r]:
+            n1_geq[(h - j) % ell] += 1
+            if h > j:
+                n1_gt[(h - j) % ell] += 1
+    return n1_geq, n1_gt, n2_geq
 
 
 def partition_sum_lhs(a, ell, n_max):

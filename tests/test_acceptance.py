@@ -14,7 +14,7 @@ from laumon.series import from_json_dict
 
 RANKS = ((1, 1), (2, 1), (1, 1, 1), (2, 2, 1), (2, 1, 1))
 BLOCKS = (((2,), (1,)), ((1, 1), (1, 2)), ((2, 1), (1, 2)), ((1, 2), (1, 2)))
-APPB_RANKS = ((1, 1), (1, 1, 1), (2, 2, 1), (2, 1, 1, 1))
+APPB_RANKS = ((1, 2, 1), (1, 1, 1), (2, 2, 1), (2, 1, 1, 1))
 
 
 def report(num, ok, desc):

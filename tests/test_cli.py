@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from laumon import cli
 from laumon.closed_form import theorem_Z
@@ -132,6 +138,7 @@ def test_negative_order_exit_2(capsys):
     operands = {"verify-wz": ("--m", "1,1", "--s", "1,2"),
                 "characters": ("--m", "1,1", "--s", "1,2"),
                 "verma-denominator": ("--size", "2"),
+                "verify-appendixB": ("--ranks", "1,1,1"),
                 "verify-appendixA": (), "verify-lemma32": ()}
     commands = ("zr-brute", "zr-closed", "zr-u", "verify-thm",
                 "verify-prop34", "verify-appendixB") + tuple(operands)
@@ -163,3 +170,32 @@ def test_golden_names_cover_grid():
     assert names["verma_3.json"] == ("verma", 3)
     for name in names:
         assert cli._load_golden(name) is not None
+
+
+@settings(max_examples=15)
+@given(st.sampled_from(("zr-closed", "zr-u", "verify-thm")),
+       st.lists(st.integers(1, 2), min_size=2, max_size=3),
+       st.integers(0, 6))
+@example("zr-closed", [2, 2, 1], 6)    # more than one batch of chunks
+def test_json_output_is_dumps_bytes(command, ranks, order):
+    """Batched writing gives exactly json.dumps(payload, indent=2) + a
+    newline, on stdout and in --out, also past one batch of chunks."""
+    argv = [command, "--ranks", ",".join(map(str, ranks)),
+            "--max-order", str(order)]
+    cfg = cli.parse_args(argv)
+    want = json.dumps(cli._HANDLERS[command](cfg)[1], indent=2) + "\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "out.json")
+        assert cli.main(argv + ["--out", path]) == 0
+        with open(path) as fh:
+            assert fh.read() == want
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert cli.main(argv) == 0
+    assert buf.getvalue() == want
+
+
+def test_appendixB_ell_2_exit_2(capsys):
+    code, out, err = run_main(capsys, "verify-appendixB", "--ranks", "1,1")
+    assert (code, out) == (2, "")
+    assert "no off-diagonal factors" in err

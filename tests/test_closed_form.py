@@ -79,11 +79,16 @@ def test_partition_identity():
 
 
 def test_appendixB():
-    rep = verify_appendixB((1, 1), 4)
+    # ell = 2 has no off-diagonal factors: a check would compare 1 with 1
+    with pytest.raises(ValueError):
+        verify_appendixB((1, 1), 4)
+    with pytest.raises(ValueError):
+        verify_appendixB((1, 0, 0), 4)
+    rep = verify_appendixB((1, 1, 1), 4)
     assert rep["equal"]
     assert [c["name"] for c in rep["checks"]] == ["raw_vs_split", "split_vs_u",
                                                   "raw_vs_u"]
-    assert verify_appendixB((1, 1, 1), 4)["equal"]
+    assert rep["families"] == {"raw": 2, "split": 2, "u": 2}
     assert verify_appendixB((2, 2, 1), 3)["equal"]
 
 

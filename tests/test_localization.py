@@ -1,14 +1,16 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from laumon.localization import (FixedPoint, brute_force_Z, check_ranks,
                                  enumerate_fixed_points, fixed_point_morse_index,
                                  fixed_points_of_size, invariant_part,
-                                 morse_index_formula, morse_index_oracle,
-                                 poincare_polynomial, sector_index,
-                                 tangent_character, tangent_count)
-from laumon.partitions import Partition
+                                 morse_index_formula, morse_index_from_tangent,
+                                 morse_index_oracle, poincare_polynomial,
+                                 sector_index, tangent_character, tangent_count)
+from laumon.partitions import Partition, enumerate_partitions
 from laumon.series import Series, canonical_space, to_json
 
 
@@ -79,6 +81,50 @@ def test_tangent_dimension_count():
             seen.setdefault(fp.occupation(r), set()).add(inv)
         assert all(len(v) == 1 for v in seen.values())
     del rng
+
+
+def reference_tangent(fp, r):
+    """The tangent character box by box, through boxes() and row()."""
+    ell = len(r)
+    sectors = [sector_index(b, r) for b in range(1, sum(r) + 1)]
+    out = []
+    for alpha, mu_a in enumerate(fp.mus, start=1):
+        h_a = mu_a.col_heights()
+        for beta, mu_b in enumerate(fp.mus, start=1):
+            h_b = mu_b.col_heights()
+            shift = sectors[beta - 1] - sectors[alpha - 1]
+            terms = {}
+            for i, j in mu_a.boxes():
+                t2 = h_a[i - 1] - j + 1
+                key = (-mu_b.row(j) + i, t2, (shift + t2) % ell)
+                terms[key] = terms.get(key, 0) + 1
+            for i, j in mu_b.boxes():
+                t2 = -h_b[i - 1] + j
+                key = (mu_a.row(j) - i + 1, t2, (shift + t2) % ell)
+                terms[key] = terms.get(key, 0) + 1
+            out.append(((alpha, beta), list(terms.items())))
+    return out
+
+
+@st.composite
+def ranks_and_fixed_point(draw):
+    r = draw(st.lists(st.integers(0, 2), min_size=2, max_size=4)
+             .filter(lambda v: sum(v) > 0))
+    mus = [draw(st.integers(0, 4).flatmap(
+        lambda n: st.sampled_from(enumerate_partitions(n))))
+        for _ in range(sum(r))]
+    return tuple(r), FixedPoint(mus)
+
+
+@given(ranks_and_fixed_point())
+def test_tangent_character_matches_box_reference(case):
+    r, fp = case
+    tc = tangent_character(fp, r)
+    # keys, counts and insertion order all agree
+    assert [(e.sector, list(e.terms.items())) for e in tc] \
+        == reference_tangent(fp, r)
+    assert morse_index_from_tangent(tc, len(r)) \
+        == fixed_point_morse_index(fp, r) == morse_index_oracle(fp, r)
 
 
 def test_morse_index_formula_examples():

@@ -1,9 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from laumon.partitions import (Partition, colored_counts, count_N1_geq,
-                               count_N1_gt, count_N2_geq,
+from laumon.partitions import (Partition, box_count_table, colored_counts,
+                               count_N1_geq, count_N1_gt, count_N2_geq,
                                enumerate_partitions, partition_sum_lhs)
 
 PARTITION_NUMBERS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
@@ -103,6 +105,16 @@ def test_count_bijections_small_grid():
                     assert count_N1_geq(mu, c, ell) == count_N2_geq(mu, c, ell)
                     drop = mu.col if c == 0 else 0
                     assert count_N1_gt(mu, c, ell) == count_N2_geq(mu, c, ell) - drop
+
+
+@given(st.integers(0, 20).flatmap(lambda n: st.sampled_from(enumerate_partitions(n))),
+       st.integers(2, 6))
+def test_box_count_table_matches_definitions(mu, ell):
+    table = box_count_table(mu, ell)
+    for c in range(-ell + 1, ell):
+        assert [t[c % ell] for t in table] == [count_N1_geq(mu, c, ell),
+                                               count_N1_gt(mu, c, ell),
+                                               count_N2_geq(mu, c, ell)]
 
 
 def test_partition_sum_lhs_small():
