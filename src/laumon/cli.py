@@ -121,7 +121,7 @@ def _warn_ranks(r):
 
 
 def _series_out(s):
-    return 0, series.to_json_dict(s), series.render_text(s)
+    return 0, s, lambda: series.render_text(s)
 
 
 def _verify_text(title, rep):
@@ -131,6 +131,8 @@ def _verify_text(title, rep):
         if tag is None:
             tag = "a=%s ell=%s" % (c.get("a"), c.get("ell"))
         lines.append("  %s: %s" % (tag, "PASS" if c["equal"] else "FAIL"))
+        if "coefficients" in c:
+            lines.append("    coefficients compared: %d" % c["coefficients"])
         if not c["equal"] and "first_diff" in c:
             lines.append("    first diff: %s" % json.dumps(c["first_diff"]))
     if not rep["equal"] and "first_diff" in rep:
@@ -138,6 +140,8 @@ def _verify_text(title, rep):
     if rep.get("brute_checked"):
         lines.append("  localization cross-check: %s"
                      % ("PASS" if rep.get("brute_equal") else "FAIL"))
+    if "coefficients" in rep:
+        lines.append("  coefficients compared: %d" % rep["coefficients"])
     if "checked" in rep:
         lines.append("  cases checked: %d" % rep["checked"])
     if "families" in rep:
@@ -146,7 +150,8 @@ def _verify_text(title, rep):
 
 
 def _verify_out(title, rep):
-    return (0 if rep["equal"] else 1), rep, "\n".join(_verify_text(title, rep))
+    return ((0 if rep["equal"] else 1), rep,
+            lambda: "\n".join(_verify_text(title, rep)))
 
 
 def _h_zr_brute(cfg):
@@ -192,9 +197,10 @@ def appendixA_report(max_size):
     max_size, ell in {2,3,4,5}, and every admissible residue."""
     failures = []
     checked = 0
+    by_size = [partitions.enumerate_partitions(n) for n in range(max_size + 1)]
     for ell in (2, 3, 4, 5):
-        for n in range(max_size + 1):
-            for mu in partitions.enumerate_partitions(n):
+        for mus in by_size:
+            for mu in mus:
                 n1_geq, n1_gt, n2_geq = partitions.box_count_table(mu, ell)
                 for c in range(-ell + 1, ell):
                     checked += 1
@@ -243,10 +249,13 @@ def _h_fixed_points(cfg):
                 "morse": localization.fixed_point_morse_index(fp, r)}
                for fp in fps]
     payload = {"r": list(r), "n": list(n), "fixed_points": entries}
-    lines = ["%d fixed points" % len(entries)]
-    lines += ["mus=%s morse=%d" % (json.dumps(e["mus"]), e["morse"])
-              for e in entries]
-    return 0, payload, "\n".join(lines)
+
+    def text():
+        lines = ["%d fixed points" % len(entries)]
+        lines += ["mus=%s morse=%d" % (json.dumps(e["mus"]), e["morse"])
+                  for e in entries]
+        return "\n".join(lines)
+    return 0, payload, text
 
 
 def _h_morse(cfg):
@@ -256,23 +265,28 @@ def _h_morse(cfg):
     fps = localization.enumerate_fixed_points(r, n)
     entries = []
     agree = True
+    poincare = {}
     for fp in fps:
         wf = localization.fixed_point_morse_index(fp, r)
         wo = localization.morse_index_oracle(fp, r)
         agree = agree and wf == wo
         entries.append({"mus": [mu.to_list() for mu in fp.mus],
                         "formula": wf, "oracle": wo})
-    poincare = localization.poincare_polynomial(r, n)
+        poincare[2 * wf] = poincare.get(2 * wf, 0) + 1
+    poincare = dict(sorted(poincare.items()))
     payload = {"r": list(r), "n": list(n), "fixed_points": entries,
                "poincare": {str(e): c for e, c in poincare.items()},
                "agree": agree}
-    lines = ["formula vs oracle: %s" % ("agree" if agree else "DISAGREE")]
-    lines += ["mus=%s formula=%d oracle=%d"
-              % (json.dumps(e["mus"]), e["formula"], e["oracle"])
-              for e in entries]
-    lines.append("poincare: " + " + ".join(
-        "%d*y^%d" % (c, e) if e else str(c) for e, c in poincare.items()))
-    return 0, payload, "\n".join(lines)
+
+    def text():
+        lines = ["formula vs oracle: %s" % ("agree" if agree else "DISAGREE")]
+        lines += ["mus=%s formula=%d oracle=%d"
+                  % (json.dumps(e["mus"]), e["formula"], e["oracle"])
+                  for e in entries]
+        lines.append("poincare: " + " + ".join(
+            "%d*y^%d" % (c, e) if e else str(c) for e, c in poincare.items()))
+        return "\n".join(lines)
+    return 0, payload, text
 
 
 def _h_tangent(cfg):
@@ -295,12 +309,13 @@ def _h_tangent(cfg):
                         "total_terms": localization.tangent_count(tc),
                         "invariant_terms": inv})
     payload = {"r": list(r), "n": list(n), "fixed_points": entries}
-    lines = []
-    for e in entries:
-        lines.append("mus=%s total=%d invariant=%d"
-                     % (json.dumps(e["mus"]), e["total_terms"],
-                        e["invariant_terms"]))
-    return 0, payload, "\n".join(lines) if lines else "no fixed points"
+
+    def text():
+        lines = ["mus=%s total=%d invariant=%d"
+                 % (json.dumps(e["mus"]), e["total_terms"], e["invariant_terms"])
+                 for e in entries]
+        return "\n".join(lines) if lines else "no fixed points"
+    return 0, payload, text
 
 
 def _h_characters(cfg):
@@ -310,7 +325,7 @@ def _h_characters(cfg):
 
     def put(key, factors, ser):
         entries[key] = {"factors": [characters.render_factor(f) for f in factors],
-                        "series": series.to_json_dict(ser)}
+                        "series": ser}
 
     for i in range(1, b.L + 1):
         put("X_%d" % i, characters.x_i_factors(b, i), characters.X_i(b, i, n_max))
@@ -327,11 +342,14 @@ def _h_characters(cfg):
     payload = {"m": list(b.m), "s": list(b.s),
                "ranks": list(characters.rank_vector_from(b)),
                "max_order": n_max, "characters": entries}
-    lines = []
-    for key, e in entries.items():
-        lines.append("%s = %s" % (key, " ".join(e["factors"]) or "1"))
-        lines.append("  = %s" % series.render_text(series.from_json_dict(e["series"])))
-    return 0, payload, "\n".join(lines)
+
+    def text():
+        lines = []
+        for key, e in entries.items():
+            lines.append("%s = %s" % (key, " ".join(e["factors"]) or "1"))
+            lines.append("  = %s" % series.render_text(e["series"]))
+        return "\n".join(lines)
+    return 0, payload, text
 
 
 def _h_spin(cfg):
@@ -343,9 +361,12 @@ def _h_spin(cfg):
                            for p, d, k in ents],
                "total_dim": total,
                "free_field_counts": characters.free_field_counts(b)}
-    lines = ["pair=%s dim=%d mult=%d" % (list(p), d, k) for p, d, k in ents]
-    lines.append("total_dim=%d (N^2=%d)" % (total, b.N ** 2))
-    return 0, payload, "\n".join(lines)
+
+    def text():
+        lines = ["pair=%s dim=%d mult=%d" % (list(p), d, k) for p, d, k in ents]
+        lines.append("total_dim=%d (N^2=%d)" % (total, b.N ** 2))
+        return "\n".join(lines)
+    return 0, payload, text
 
 
 def _h_verma(cfg):
@@ -523,13 +544,16 @@ def _h_acceptance(cfg):
     results = run_acceptance()
     all_passed = all(r["passed"] for r in results)
     payload = {"results": results, "all_passed": all_passed}
-    width = max(len(r["criterion"]) for r in results)
-    lines = ["%-*s  %s  %s" % (width, r["criterion"],
-                               "PASS" if r["passed"] else "FAIL", r["detail"])
-             for r in results]
-    lines.append("ALL PASS" if all_passed else "FAILURES: %d"
-                 % sum(not r["passed"] for r in results))
-    return (0 if all_passed else 1), payload, "\n".join(lines)
+
+    def text():
+        width = max(len(r["criterion"]) for r in results)
+        lines = ["%-*s  %s  %s" % (width, r["criterion"],
+                                   "PASS" if r["passed"] else "FAIL", r["detail"])
+                 for r in results]
+        lines.append("ALL PASS" if all_passed else "FAILURES: %d"
+                     % sum(not r["passed"] for r in results))
+        return "\n".join(lines)
+    return (0 if all_passed else 1), payload, text
 
 
 _HANDLERS = {
@@ -555,13 +579,14 @@ _HANDLERS = {
 def run(cfg):
     code, payload, text = _HANDLERS[cfg.command](cfg)
     if cfg.format == "json":
-        # in batches: the whole encoded string would set the peak memory
-        chunks = json.JSONEncoder(indent=2).iterencode(payload)
+        # written in batches of 256 chunks, each about one series term or
+        # one container of scalars: the whole string would set peak memory
+        chunks = series.json_chunks(payload)
     else:
-        chunks = iter((text,))
+        chunks = iter((text(),))
     with (open(cfg.out, "w") if cfg.out
           else contextlib.nullcontext(sys.stdout)) as fh:
-        for batch in iter(lambda: "".join(itertools.islice(chunks, 8192)), ""):
+        for batch in iter(lambda: "".join(itertools.islice(chunks, 256)), ""):
             fh.write(batch)
         fh.write("\n")
     return code

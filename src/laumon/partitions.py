@@ -35,9 +35,13 @@ class Partition:
         return self.rows[j - 1] if 1 <= j <= len(self.rows) else 0
 
     def col_heights(self):
-        """Tuple of column heights (the conjugate partition)."""
-        return tuple(sum(1 for r in self.rows if r >= i)
-                     for i in range(1, self.col + 1))
+        """Tuple of column heights (the conjugate partition), read from the
+        bottom row up: the columns a row adds past the rows below it have
+        that row's index as their height."""
+        heights = []
+        for j in range(len(self.rows), 0, -1):
+            heights += [j] * (self.rows[j - 1] - len(heights))
+        return tuple(heights)
 
     def boxes(self):
         for j, r in enumerate(self.rows, start=1):

@@ -13,6 +13,7 @@ place, which only ever adds coefficients; no integer division occurs.
 """
 
 import json
+from json.encoder import encode_basestring_ascii
 from operator import add
 
 
@@ -372,6 +373,99 @@ def to_json(s, indent=None):
     return json.dumps(to_json_dict(s), indent=indent)
 
 
+def _scalar(o):
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    raise TypeError("cannot write %s as JSON" % type(o).__name__)
+
+
+def _key(k):
+    if not isinstance(k, str):
+        raise TypeError("cannot write a %s key as JSON" % type(k).__name__)
+    return encode_basestring_ascii(k) + ": "
+
+
+def _is_scalar(o):
+    return o is None or isinstance(o, (str, int))
+
+
+def _flat(o, nl):
+    """A container of scalars, whole, starting at indentation nl."""
+    inner = nl + "  "
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        return "{%s%s}" % (",".join(inner + _key(k) + _scalar(v)
+                                    for k, v in o.items()), nl)
+    if not o:
+        return "[]"
+    return "[%s%s]" % (",".join(inner + _scalar(v) for v in o), nl)
+
+
+def _series_chunks(s, nl):
+    sp = s.space
+    i1 = nl + "  "
+    i2, i3 = i1 + "  ", i1 + "    "
+    head = '{%s"variables": %s,%s"grading": %s,%s"truncation": %d' % (
+        i1, _flat(sp.names, i1), i1, _flat(sp.grading, i1), i1, sp.truncation)
+    if sp.caps:
+        caps = {n: sp.caps[n] for n in sp.names if n in sp.caps}
+        head += ',%s"caps": %s' % (i1, _flat(caps, i1))
+    terms = s.terms
+    if not terms:
+        yield head + ',%s"terms": []%s}' % (i1, nl)
+        return
+    yield head + ',%s"terms": [' % i1
+    keys = [i3 + "  " + _key(n) for n in sp.names]
+    open_term = i2 + "{" + i3 + '"exp": '
+    sep = ""
+    for m in sorted(terms, reverse=True):    # the order of terms_sorted()
+        exp = [k + int.__repr__(e) for k, e in zip(keys, m) if e]
+        yield '%s%s%s,%s"coeff": "%d"%s}' % (
+            sep, open_term, "{%s%s}" % (",".join(exp), i3) if exp else "{}",
+            i3, terms[m], i2)
+        sep = ","
+    yield i1 + "]" + nl + "}"
+
+
+def _chunks(o, nl):
+    if isinstance(o, Series):
+        yield from _series_chunks(o, nl)
+        return
+    is_dict = isinstance(o, dict)
+    if not (is_dict or isinstance(o, (list, tuple))):
+        yield _scalar(o)
+        return
+    values = o.values() if is_dict else o
+    if all(map(_is_scalar, values)):
+        yield _flat(o, nl)
+        return
+    inner = nl + "  "
+    heads = [inner + _key(k) for k in o] if is_dict else [inner] * len(o)
+    sep = "{" if is_dict else "["
+    for head, v in zip(heads, values):
+        yield sep + head
+        yield from _chunks(v, inner)
+        sep = ","
+    yield nl + ("}" if is_dict else "]")
+
+
+def json_chunks(obj):
+    """The text of json.dumps(obj, indent=2, default=to_json_dict), in
+    pieces: one per Series term and one per container of scalars.  Values
+    may be dicts with str keys, lists, tuples, Series, str, int, bool and
+    None; any other type raises TypeError."""
+    return _chunks(obj, "\n")
+
+
 def from_json(text):
     return from_json_dict(json.loads(text))
 
@@ -408,19 +502,22 @@ def series_diff_report(lhs, rhs):
 
     Returns {"equal": True} on a match; otherwise the first differing
     coefficient in canonical monomial order, with both values as strings.
+    Either way "coefficients" counts the monomials compared, the union of
+    the two supports.
     """
     if not isinstance(lhs, Series) or not isinstance(rhs, Series):
         raise SeriesError("series_diff_report expects two Series")
     if lhs.space != rhs.space:
         raise SeriesError("series_diff_report: mismatched spaces")
     if lhs.terms == rhs.terms:
-        return {"equal": True}
+        return {"equal": True, "coefficients": len(lhs.terms)}
     names = lhs.space.names
-    for m in sorted(set(lhs.terms) | set(rhs.terms), reverse=True):
+    support = lhs.terms.keys() | rhs.terms.keys()
+    for m in sorted(support, reverse=True):
         cl = lhs.terms.get(m, 0)
         cr = rhs.terms.get(m, 0)
         if cl != cr:
-            return {"equal": False,
+            return {"equal": False, "coefficients": len(support),
                     "first_diff": {"exp": {n: e for n, e in zip(names, m) if e},
                                    "lhs": str(cl), "rhs": str(cr)}}
     raise AssertionError("unreachable")

@@ -10,9 +10,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from laumon import cli
+from laumon import cli, localization, series
 from laumon.closed_form import theorem_Z
-from laumon.series import from_json_dict
+from laumon.series import from_json_dict, to_json_dict
 
 
 def run_main(capsys, *argv):
@@ -62,7 +62,8 @@ def test_verify_thm_text(capsys):
     code, out, err = run_main(capsys, "verify-thm", "--ranks", "1,1",
                               "--format", "text")
     assert code == 0
-    assert out == "product form vs localization: PASS\n"
+    assert out == ("product form vs localization: PASS\n"
+                   "  coefficients compared: 27\n")
 
 
 def test_morse_payload(capsys):
@@ -72,6 +73,14 @@ def test_morse_payload(capsys):
     assert payload["agree"] is True
     assert payload["poincare"] == {"0": 1, "2": 2}
     assert len(payload["fixed_points"]) == 3
+
+
+def test_morse_poincare_matches_library(capsys):
+    code, out, err = run_main(capsys, "morse", "--ranks", "2,1,1", "--n", "1,2,1")
+    assert code == 0
+    want = localization.poincare_polynomial((2, 1, 1), (1, 2, 1))
+    assert list(json.loads(out)["poincare"].items()) == [
+        (str(e), c) for e, c in want.items()]
 
 
 def test_tangent_counts(capsys):
@@ -178,12 +187,14 @@ def test_golden_names_cover_grid():
        st.integers(0, 6))
 @example("zr-closed", [2, 2, 1], 6)    # more than one batch of chunks
 def test_json_output_is_dumps_bytes(command, ranks, order):
-    """Batched writing gives exactly json.dumps(payload, indent=2) + a
-    newline, on stdout and in --out, also past one batch of chunks."""
+    """Streamed writing gives exactly json.dumps(payload, indent=2) + a
+    newline, series written as to_json_dict would, on stdout and in
+    --out, also past one batch of chunks."""
     argv = [command, "--ranks", ",".join(map(str, ranks)),
             "--max-order", str(order)]
     cfg = cli.parse_args(argv)
-    want = json.dumps(cli._HANDLERS[command](cfg)[1], indent=2) + "\n"
+    want = json.dumps(cli._HANDLERS[command](cfg)[1], indent=2,
+                      default=to_json_dict) + "\n"
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "out.json")
         assert cli.main(argv + ["--out", path]) == 0
@@ -199,3 +210,18 @@ def test_appendixB_ell_2_exit_2(capsys):
     code, out, err = run_main(capsys, "verify-appendixB", "--ranks", "1,1")
     assert (code, out) == (2, "")
     assert "no off-diagonal factors" in err
+
+
+def test_json_mode_renders_no_text(capsys, monkeypatch):
+    """JSON output is written from the result itself: no text rendering
+    and no intermediate term dicts."""
+    def boom(*args):
+        raise AssertionError("called in JSON mode")
+    monkeypatch.setattr(series, "render_text", boom)
+    monkeypatch.setattr(series, "to_json_dict", boom)
+    for argv in (("zr-closed", "--ranks", "2,1"),
+                 ("characters", "--m", "1,1", "--s", "1,2", "--max-order", "2"),
+                 ("verma-denominator", "--size", "2")):
+        code, out, err = run_main(capsys, *argv)
+        assert code == 0, argv
+        assert json.loads(out)

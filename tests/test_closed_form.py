@@ -26,7 +26,7 @@ def test_theorem_Z_hand_coefficients():
 def test_theorem_Z_matches_oracle():
     for r in ((1, 1), (2, 1), (1, 1, 1)):
         assert theorem_Z(r, 3) == brute_force_Z(r, 3)
-    assert verify_theorem_Z((2, 1), 3) == {"equal": True}
+    assert verify_theorem_Z((2, 1), 3) == {"equal": True, "coefficients": 25}
 
 
 @settings(max_examples=40)
@@ -72,10 +72,14 @@ def test_u_exponents():
 
 
 def test_partition_identity():
-    assert verify_partition_identity(0, 2, 0) == {"equal": True}
-    assert verify_partition_identity(0, 2, 6) == {"equal": True}
-    assert verify_partition_identity(1, 3, 6) == {"equal": True}
-    assert verify_partition_identity(2, 4, 5) == {"equal": True}
+    assert verify_partition_identity(0, 2, 0) == {"equal": True,
+                                                  "coefficients": 1}
+    assert verify_partition_identity(0, 2, 6) == {"equal": True,
+                                                  "coefficients": 27}
+    assert verify_partition_identity(1, 3, 6) == {"equal": True,
+                                                  "coefficients": 29}
+    assert verify_partition_identity(2, 4, 5) == {"equal": True,
+                                                  "coefficients": 19}
 
 
 def test_appendixB():

@@ -41,6 +41,15 @@ def test_conjugation_involution():
         assert Partition(conj.col_heights()) == mu
 
 
+def test_col_heights_match_definition():
+    assert Partition().col_heights() == ()
+    for n in range(21):
+        for mu in enumerate_partitions(n):
+            want = tuple(sum(1 for r in mu.rows if r >= i)
+                         for i in range(1, mu.col + 1))
+            assert mu.col_heights() == want
+
+
 def test_boxes_match_size():
     for n in range(8):
         for mu in enumerate_partitions(n):

@@ -5,14 +5,14 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from laumon.series import (Series, SeriesError, VariableSpace, canonical_space,
                            expand, from_json, from_json_dict,
-                           geometric_inverse, pochhammer_inverse, render_text,
-                           series_diff_report, substitute, to_json,
-                           to_json_dict)
+                           geometric_inverse, json_chunks, pochhammer_inverse,
+                           render_text, series_diff_report, substitute,
+                           to_json, to_json_dict)
 
 
 def space2(trunc=4):
@@ -257,9 +257,69 @@ def test_series_diff_report():
     sp = space2(2)
     a = Series.from_terms(sp, {(0, 1, 0): 1, (2, 0, 1): 5})
     b = Series.from_terms(sp, {(0, 1, 0): 1, (2, 0, 1): 4})
-    assert series_diff_report(a, a) == {"equal": True}
+    assert series_diff_report(a, a) == {"equal": True, "coefficients": 2}
     rep = series_diff_report(a, b)
-    assert rep["equal"] is False
-    assert rep["first_diff"] == {"exp": {"y": 2, "q1": 1}, "lhs": "5", "rhs": "4"}
+    assert rep == {"equal": False, "coefficients": 2,
+                   "first_diff": {"exp": {"y": 2, "q1": 1}, "lhs": "5", "rhs": "4"}}
+    # the count is the union of the supports, not either side alone
+    c = Series.from_terms(sp, {(0, 1, 0): 1, (0, 0, 2): 3})
+    assert series_diff_report(a, c) == {
+        "equal": False, "coefficients": 3,
+        "first_diff": {"exp": {"y": 2, "q1": 1}, "lhs": "5", "rhs": "0"}}
     with pytest.raises(SeriesError):
         series_diff_report(a, Series.zero(space2(3)))
+
+
+def capped_space(truncation, cap):
+    return VariableSpace(("z", "v1", "v2"), ("z",), truncation,
+                         {"v1": cap, "v2": cap})
+
+
+@st.composite
+def any_series(draw):
+    """A series in a canonical or a capped space; graded exponents are
+    non-negative, the others run over -3..3."""
+    if draw(st.booleans()):
+        sp = canonical_space(draw(st.integers(1, 3)), draw(st.integers(0, 4)))
+    else:
+        sp = capped_space(draw(st.integers(0, 3)), draw(st.integers(0, 3)))
+    mono = st.tuples(*(st.integers(0, 2) if n in sp.grading
+                       else st.integers(-3, 3) for n in sp.names))
+    coeff = st.integers(-2 ** 80, 2 ** 80)
+    return Series.from_terms(sp, draw(st.dictionaries(mono, coeff, max_size=6)))
+
+
+_text = (st.text(st.sampled_from('a"\\\n\t\x00\x7f\u00e9\u20ac\U0001d11e '),
+                 max_size=6)
+         | st.text(max_size=4))
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2 ** 70, 2 ** 70) | _text
+    | any_series(),
+    lambda kids: (st.lists(kids, max_size=4) | st.lists(kids, max_size=3).map(tuple)
+                  | st.dictionaries(_text, kids, max_size=4)),
+    max_leaves=16)
+
+
+@settings(max_examples=200)
+@given(_json_values)
+@example(Series.zero(space2(3)))
+@example({"s": [Series.one(canonical_space(1, 0), -7), {}]})
+@example([Series.monomial(capped_space(2, 1), (0, 0, 0), 3), []])
+def test_json_chunks_equal_dumps(obj):
+    """The streaming writer gives exactly the text of json.dumps with
+    indent=2 and to_json_dict for series."""
+    want = json.dumps(obj, indent=2, default=to_json_dict)
+    assert "".join(json_chunks(obj)) == want
+
+
+def test_json_chunks_one_chunk_per_term():
+    s = Series.from_terms(space2(2), {(0, 0, 0): 1, (1, 1, 0): 2, (0, 0, 2): -3})
+    chunks = list(json_chunks(s))
+    assert len(chunks) == 2 + len(s.terms)
+    assert '"exp": {}' in chunks[-2]     # the unit monomial sorts last
+
+
+def test_json_chunks_reject_other_types():
+    for obj in (1.5, {"a": 0.5}, [object()], {1: 2}, {"a": {1, 2}}, b"x"):
+        with pytest.raises(TypeError):
+            "".join(json_chunks(obj))
