@@ -205,7 +205,8 @@ def verify_WZ(b, n_max, brute=True):
     refined Verma character times the B-truncation characters.
 
     Also cross-checks the left side against the localization sum unless
-    `brute` is False.
+    `brute` is False; `brute_coefficients` counts the coefficients that
+    cross-check compared.
     """
     if b.ell < 2:
         raise ValueError("need ell >= 2")
@@ -221,6 +222,7 @@ def verify_WZ(b, n_max, brute=True):
         brep = series_diff_report(brute_force_Z(r, n_max), lhs)
         report["brute_checked"] = True
         report["brute_equal"] = brep["equal"]
+        report["brute_coefficients"] = brep["coefficients"]
         if not brep["equal"]:
             report["brute_first_diff"] = brep["first_diff"]
             report["equal"] = False

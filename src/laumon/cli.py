@@ -140,6 +140,7 @@ def _verify_text(title, rep):
     if rep.get("brute_checked"):
         lines.append("  localization cross-check: %s"
                      % ("PASS" if rep.get("brute_equal") else "FAIL"))
+        lines.append("    coefficients compared: %d" % rep["brute_coefficients"])
     if "coefficients" in rep:
         lines.append("  coefficients compared: %d" % rep["coefficients"])
     if "checked" in rep:
@@ -294,8 +295,9 @@ def _h_tangent(cfg):
     _warn_ranks(r)
     n = localization.check_occupation(cfg.n, len(r))
     ell = len(r)
-    entries = []
-    for fp in localization.enumerate_fixed_points(r, n):
+    fps = localization.enumerate_fixed_points(r, n)
+
+    def entry(fp):
         tc = localization.tangent_character(fp, r)
         pairs = []
         for e in tc:
@@ -304,16 +306,18 @@ def _h_tangent(cfg):
             pairs.append({"alpha": e.sector[0], "beta": e.sector[1],
                           "terms": terms})
         inv = localization.tangent_count(localization.invariant_part(tc, ell))
-        entries.append({"mus": [mu.to_list() for mu in fp.mus],
-                        "pairs": pairs,
-                        "total_terms": localization.tangent_count(tc),
-                        "invariant_terms": inv})
-    payload = {"r": list(r), "n": list(n), "fixed_points": entries}
+        return {"mus": [mu.to_list() for mu in fp.mus],
+                "pairs": pairs,
+                "total_terms": localization.tangent_count(tc),
+                "invariant_terms": inv}
+
+    # an iterator: each fixed point is written as soon as it is computed
+    payload = {"r": list(r), "n": list(n), "fixed_points": map(entry, fps)}
 
     def text():
         lines = ["mus=%s total=%d invariant=%d"
                  % (json.dumps(e["mus"]), e["total_terms"], e["invariant_terms"])
-                 for e in entries]
+                 for e in map(entry, fps)]
         return "\n".join(lines) if lines else "no fixed points"
     return 0, payload, text
 

@@ -18,6 +18,7 @@ helpers take an already-checked tuple.
 """
 
 import itertools
+from operator import sub
 
 from .partitions import Partition, colored_counts, enumerate_partitions
 from .series import Series, canonical_space
@@ -114,10 +115,40 @@ def fixed_points_of_size(r, total):
 
 
 def enumerate_fixed_points(r, n):
-    """All tuples of colored diagrams with combined color counts equal n."""
+    """All tuples of colored diagrams with combined color counts equal n,
+    in the canonical order of `fixed_points_of_size`: the size composition
+    descending, then each diagram's index in `enumerate_partitions`.
+
+    Components are chosen one at a time, and a diagram whose color counts
+    would overdraw the occupation still left is never tried further; the
+    ways to fill the last components are found once per occupation left.
+    """
     r = check_ranks(r)
     n = check_occupation(n, len(r))
-    return [fp for fp in _all_tuples(r, sum(n)) if fp.occupation(r) == n]
+    ell = len(r)
+    by_size = [enumerate_partitions(k) for k in range(sum(n) + 1)]
+    sectors = [sector_index(b, r) for b in range(1, sum(r) + 1)]
+    choices = {a: [((k, i, mu), colored_counts(mu, a, ell))
+                   for k, mus in enumerate(by_size) for i, mu in enumerate(mus)]
+               for a in set(sectors)}
+    memo = {}
+
+    def fill(beta, left):
+        """Every choice of components beta, beta + 1, ... using up `left`."""
+        if beta == len(sectors):
+            return [()] if not any(left) else []
+        if (beta, left) not in memo:
+            out = []
+            for item, counts in choices[sectors[beta]]:
+                rest = tuple(map(sub, left, counts))
+                if min(rest) >= 0:
+                    out += [(item,) + tail for tail in fill(beta + 1, rest)]
+            memo[beta, left] = out
+        return memo[beta, left]
+
+    done = sorted(fill(0, n), key=lambda p: (tuple(-k for k, _, _ in p),
+                                             tuple(i for _, i, _ in p)))
+    return [FixedPoint(mu for _, _, mu in picked) for picked in done]
 
 
 class RepRingElement:

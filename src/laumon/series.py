@@ -7,14 +7,19 @@ spaces with ungraded Laurent directions that would otherwise produce
 infinitely many terms at a fixed graded degree).
 
 Monomials are exponent tuples aligned with the variable order.  Series
-coefficients are arbitrary-precision integers.  Products of inverse
+coefficients are arbitrary-precision integers.  The two product kernels,
+`Series.__mul__` and `expand`, pack each exponent tuple into one
+mixed-radix integer, so a monomial product is one integer addition; tuples
+come back only in the result's terms.  Products of inverse
 Pochhammer families are expanded by dividing by each factor (1 - m) in
 place, which only ever adds coefficients; no integer division occurs.
 """
 
 import json
+from collections.abc import Iterator
+from itertools import accumulate
 from json.encoder import encode_basestring_ascii
-from operator import add
+from operator import add, itemgetter, mul
 
 
 class SeriesError(Exception):
@@ -103,6 +108,56 @@ def canonical_space(ell, truncation):
     return VariableSpace(names, names[1:], truncation)
 
 
+class _Packing:
+    """Kronecker (mixed-radix) integer keys for exponent tuples whose i-th
+    entry lies in lo[i] .. hi[i].
+
+    The key of m with offsets o is sum (m_i - o_i) * w_i, with w_0 = 1 and
+    w_{i+1} = w_i * (hi_i - lo_i + 1).  With offsets lo every digit fits its
+    radix, so no carry crosses digits and unpack() reads m back.  Keys add:
+    key(m1, o1) + key(m2, o2) = key(m1 + m2, o1 + o2), so a monomial product
+    is one integer addition as long as the product lies in range.
+    """
+
+    __slots__ = ("lo", "radix", "weights")
+
+    def __init__(self, lo, hi):
+        self.lo = lo
+        self.radix = tuple(h - l + 1 for l, h in zip(lo, hi))
+        self.weights = (1,) + tuple(accumulate(self.radix[:-1], mul))
+
+    def pack(self, monos, offsets):
+        """The key of each exponent tuple in a collection."""
+        keys = [0] * len(monos)
+        for col, o, w in zip(zip(*monos), offsets, self.weights):
+            keys = [k + (e - o) * w for k, e in zip(keys, col)]
+        return keys
+
+    def unpack(self, keys):
+        """The exponent tuple of each key (a collection), with offsets lo."""
+        cols = []
+        for o, r in zip(self.lo, self.radix):
+            cols.append([k % r + o for k in keys])
+            keys = [k // r for k in keys]
+        return zip(*cols) if cols else [()] * len(keys)
+
+
+def _exponent_range(terms):
+    """Entrywise least and greatest exponents over a non-empty support."""
+    cols = list(zip(*terms))
+    return tuple(map(min, cols)), tuple(map(max, cols))
+
+
+def _by_degree(space, terms, keys, offsets):
+    """(graded degree, key, coefficient) of each term, by ascending degree."""
+    cols = list(zip(*terms))
+    degs = [0] * len(terms)
+    for i in space._gidx:
+        degs = list(map(add, degs, cols[i]))
+    return sorted(zip(degs, keys.pack(terms, offsets), terms.values()),
+                  key=itemgetter(0))
+
+
 class Series:
     """Immutable truncated Laurent series over a VariableSpace."""
 
@@ -183,26 +238,36 @@ class Series:
             return Series(self.space, {m: c * other for m, c in self.terms.items()})
         self._require_same(other)
         sp = self.space
+        if not self.terms or not other.terms:
+            return Series(sp, {})
+        # packed keys: the key of m1 (offsets lo_a) plus the key of m2
+        # (offsets lo_b) is the key of m1 * m2 (offsets lo_a + lo_b)
+        lo_a, hi_a = _exponent_range(self.terms)
+        lo_b, hi_b = _exponent_range(other.terms)
+        keys = _Packing(tuple(map(add, lo_a, lo_b)), tuple(map(add, hi_a, hi_b)))
+        a = _by_degree(sp, self.terms, keys, lo_a)
+        b = _by_degree(sp, other.terms, keys, lo_b)
         trunc = sp.truncation
-        a = sorted(((sp.gdeg(m), m, c) for m, c in self.terms.items()),
-                   key=lambda t: t[0])
-        b = sorted(((sp.gdeg(m), m, c) for m, c in other.terms.items()),
-                   key=lambda t: t[0])
+        # upto[d]: how many terms of b have graded degree <= d
+        upto = [0] * (trunc + 1)
+        for g, _, _ in b:
+            upto[g] += 1
+        upto = list(accumulate(upto))
+        b = [(k, c) for _, k, c in b]
         out = {}
-        for g1, m1, c1 in a:
-            lim = trunc - g1
-            for g2, m2, c2 in b:
-                if g2 > lim:
-                    break
-                m = tuple(x + y for x, y in zip(m1, m2))
-                if not sp.caps_ok(m):
-                    continue
-                nc = out.get(m, 0) + c1 * c2
-                if nc:
-                    out[m] = nc
-                elif m in out:
-                    del out[m]
-        return Series(sp, out)
+        get = out.get
+        for g1, k1, c1 in a:
+            for k2, c2 in b[:upto[trunc - g1]]:
+                k = k1 + k2
+                out[k] = get(k, 0) + c1 * c2
+        del a, b    # the packed operands; unpacking sets the peak memory
+        terms = {m: c for m, c in zip(keys.unpack(out), out.values()) if c}
+        if sp.caps:
+            # caps_ok depends only on the product monomial, so checking
+            # each output term skips exactly the pairs a per-pair check would
+            caps_ok = sp.caps_ok
+            terms = {m: c for m, c in terms.items() if caps_ok(m)}
+        return Series(sp, terms)
 
     __rmul__ = __mul__
 
@@ -288,24 +353,42 @@ def expand(space, families):
     if space.caps:
         raise SeriesError("expand: capped space")
     trunc = space.truncation
-    buckets = [{} for _ in range(trunc + 1)]
-    buckets[0][space.unit()] = 1
+    unit = space.unit()
+    fams = []
     for base, step in families:
-        m = tuple(base)
-        d = space.gdeg(m)
-        if d < 1 or space.gdeg(step) < 1:
+        base, step = tuple(base), tuple(step)
+        if space.gdeg(base) < 1 or space.gdeg(step) < 1:
             raise SeriesError("expand: family (%r, %r) of graded degree < 1"
-                              % (m, tuple(step)))
+                              % (base, step))
+        fams.append((base, step))
+    # A factor monomial base + k*step has graded degree d >= k + 1, so its
+    # i-th exponent is at most d * M_i in size, M_i the largest |base_i| or
+    # |step_i| over the families; a bucket term is a product of factor
+    # monomials of total degree <= trunc, so it stays within trunc * M_i.
+    bound = tuple(trunc * max((max(abs(b[i]), abs(s[i])) for b, s in fams),
+                              default=0)
+                  for i in range(len(unit)))
+    keys = _Packing(tuple(-x for x in bound), bound)
+    buckets = [{} for _ in range(trunc + 1)]
+    buckets[0][keys.pack([unit], keys.lo)[0]] = 1
+    for base, step in fams:
+        # balanced-digit keys (offsets 0): adding one multiplies by it
+        m, dm = keys.pack([base, step], unit)
+        d, dd = space.gdeg(base), space.gdeg(step)
         while d <= trunc:
             for deg in range(trunc - d + 1):
                 dst = buckets[deg + d]
                 get = dst.get
                 for x, c in buckets[deg].items():
-                    x = tuple(map(add, x, m))
+                    x += m
                     dst[x] = get(x, 0) + c
-            m = tuple(map(add, m, step))
-            d = space.gdeg(m)
-    return Series(space, {x: c for b in buckets for x, c in b.items()})
+            m += dm
+            d += dd
+    terms = {}
+    for b in buckets:
+        terms.update(zip(keys.unpack(b), b.values()))
+        b.clear()
+    return Series(space, terms)
 
 
 def substitute(s, mapping, target):
@@ -440,6 +523,16 @@ def _chunks(o, nl):
     if isinstance(o, Series):
         yield from _series_chunks(o, nl)
         return
+    if isinstance(o, Iterator):
+        # drawn one element at a time, so only one is alive; the bytes are
+        # those of a list of the same elements
+        sep = "["
+        for v in o:
+            yield sep + nl + "  "
+            yield from _chunks(v, nl + "  ")
+            sep = ","
+        yield "[]" if sep == "[" else nl + "]"
+        return
     is_dict = isinstance(o, dict)
     if not (is_dict or isinstance(o, (list, tuple))):
         yield _scalar(o)
@@ -462,7 +555,8 @@ def json_chunks(obj):
     """The text of json.dumps(obj, indent=2, default=to_json_dict), in
     pieces: one per Series term and one per container of scalars.  Values
     may be dicts with str keys, lists, tuples, Series, str, int, bool and
-    None; any other type raises TypeError."""
+    None; any other type raises TypeError.  An iterator is written as a
+    list of what it yields, drawing one element at a time."""
     return _chunks(obj, "\n")
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -66,6 +67,16 @@ def test_verify_thm_text(capsys):
                    "  coefficients compared: 27\n")
 
 
+def test_verify_wz_text(capsys):
+    code, out, err = run_main(capsys, "verify-wz", "--m", "1,1", "--s", "1,2",
+                              "--max-order", "4", "--format", "text")
+    assert code == 0
+    assert out == ("W-character factorization: PASS\n"
+                   "  localization cross-check: PASS\n"
+                   "    coefficients compared: 47\n"
+                   "  coefficients compared: 47\n")
+
+
 def test_morse_payload(capsys):
     code, out, err = run_main(capsys, "morse", "--ranks", "1,1", "--n", "1,1")
     assert code == 0
@@ -90,6 +101,35 @@ def test_tangent_counts(capsys):
     for e in payload["fixed_points"]:
         assert e["total_terms"] == 8
         assert e["invariant_terms"] == 4
+
+
+def test_tangent_streams_each_fixed_point(monkeypatch):
+    """`tangent` writes each fixed point as it is computed, with the bytes
+    the whole payload gave when it was built before writing (sha256 of the
+    output of the list-building writer, JSON and text)."""
+    argv = ["tangent", "--ranks", "2,1", "--n", "3,3"]
+    digests = {
+        "json": "ca8be108af4c4594ec783628fbb7979d1c0e0008285127782442352295b448d3",
+        "text": "199819fbb1851e1a8f1528c385c05df0220b947f20c67cce03d29aff7cced341"}
+    calls = []
+    tangent = localization.tangent_character
+    monkeypatch.setattr(localization, "tangent_character",
+                        lambda fp, r: calls.append(fp) or tangent(fp, r))
+
+    class Out(io.StringIO):
+        def write(self, text):
+            writes.append(len(calls))
+            return super().write(text)
+
+    for fmt, digest in digests.items():
+        calls, writes, buf = [], [], Out()
+        with contextlib.redirect_stdout(buf):
+            assert cli.main(argv + ["--format", fmt]) == 0
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
+        assert len(calls) == 78
+        if fmt == "json":
+            # many batches, the first written after a few fixed points
+            assert len(writes) > 10 and writes[0] < 10
 
 
 def test_characters_payload(capsys):

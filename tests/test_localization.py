@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -46,6 +47,22 @@ def test_enumerate_fixed_points():
     assert [mus_of(fp) for fp in enumerate_fixed_points((1, 1), (1, 0))] == [([1], [])]
     with pytest.raises(ValueError):
         enumerate_fixed_points((1, 1), (1,))
+
+
+def test_enumerate_fixed_points_matches_filter():
+    """The pruned enumeration equals filtering every tuple of the same
+    total size by occupation, order included."""
+    for r in ((1, 1), (2, 1), (0, 2), (1, 1, 1), (2, 0, 1), (1, 2, 1),
+              (1, 1, 1, 1), (2, 1, 0, 1)):
+        ell = len(r)
+        for total in range(6):
+            by_occupation = {}
+            for fp in fixed_points_of_size(r, total):
+                by_occupation.setdefault(fp.occupation(r), []).append(fp)
+            for n in itertools.product(range(total + 1), repeat=ell):
+                if sum(n) == total:
+                    assert enumerate_fixed_points(r, n) \
+                        == by_occupation.get(n, []), (r, n)
 
 
 def test_tangent_character_hand_case():

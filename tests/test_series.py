@@ -19,6 +19,11 @@ def space2(trunc=4):
     return canonical_space(2, trunc)
 
 
+def capped_space(truncation, cap):
+    return VariableSpace(("z", "v1", "v2"), ("z",), truncation,
+                         {"v1": cap, "v2": cap})
+
+
 def random_series(space, rng, nterms=5, max_y=3):
     terms = {}
     for _ in range(nterms):
@@ -177,6 +182,104 @@ def test_expand_rejects_caps_and_degree_below_one():
             expand(sp, [(base, step)])
 
 
+def tuple_mul(a, b):
+    """The product pair by pair on exponent tuples, with a cap check per
+    pair: the reference for the packed kernel."""
+    sp = a.space
+    out = {}
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            m = tuple(x + y for x, y in zip(m1, m2))
+            if sp.gdeg(m) <= sp.truncation and sp.caps_ok(m):
+                out[m] = out.get(m, 0) + c1 * c2
+    return Series.from_terms(sp, out)
+
+
+def tuple_pochhammer(space, m, z):
+    """prod_{k>=0} 1/(1 - m z^k) as a tuple product of geometric series."""
+    out = Series.one(space)
+    while space.gdeg(m) <= space.truncation:
+        out = tuple_mul(out, geometric_inverse(space, m))
+        m = space.mono_mul(m, z)
+    return out
+
+
+@st.composite
+def series_in_one_space(draw, count, capped):
+    """`count` series in one canonical (or capped (z, v1, v2)) space, with
+    ungraded exponents of either sign and graded ones down to -2."""
+    if capped:
+        sp = capped_space(draw(st.integers(0, 4)), draw(st.integers(0, 3)))
+    else:
+        sp = canonical_space(draw(st.integers(1, 3)), draw(st.integers(0, 5)))
+    mono = st.tuples(*(st.integers(-2, 3) if n in sp.grading
+                       else st.integers(-9, 9) for n in sp.names)
+                     ).filter(lambda m: sp.gdeg(m) >= 0)
+    coeff = st.integers(-5, 5) | st.integers(-2 ** 70, 2 ** 70)
+    return (sp,) + tuple(
+        Series.from_terms(sp, draw(st.dictionaries(mono, coeff, max_size=8)))
+        for _ in range(count))
+
+
+@settings(max_examples=150)
+@given(st.booleans().flatmap(lambda capped: series_in_one_space(2, capped)))
+@example((space2(2), Series.from_terms(space2(2), {(-9, 0, 0): 1, (9, 1, 1): 2}),
+          Series.from_terms(space2(2), {(9, 0, 0): 3, (-9, 0, 1): -1})))
+@example((capped_space(2, 1),
+          Series.from_terms(capped_space(2, 1), {(0, 1, -1): 1, (1, -1, 1): 1}),
+          Series.from_terms(capped_space(2, 1), {(0, 1, 1): 1, (1, -1, -1): 2})))
+def test_packed_mul_equals_tuple_product(case):
+    sp, a, b = case
+    assert a * b == tuple_mul(a, b)
+    assert a * b == b * a
+
+
+@settings(max_examples=80)
+@given(series_in_one_space(3, False))
+def test_mul_ring_axioms(case):
+    sp, a, b, c = case
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a * Series.one(sp) == a
+    assert a * Series.zero(sp) == Series.zero(sp)
+
+
+@settings(max_examples=80)
+@given(series_in_one_space(2, False), st.integers(0, 5))
+def test_mul_commutes_with_truncation(case, k):
+    sp, a, b = case
+    k = min(k, sp.truncation)
+    assert (a * b).truncate(k) == a.truncate(k) * b.truncate(k)
+
+
+@st.composite
+def wide_families(draw):
+    """Families with y-exponents up to 40 and q-exponents up to 5 in size,
+    so that the balanced digits of `expand` reach their bound."""
+    ell = draw(st.integers(1, 3))
+    space = canonical_space(ell, draw(st.integers(0, 4)))
+
+    def mono():
+        qs = draw(st.lists(st.integers(-5, 5), min_size=ell, max_size=ell)
+                  .filter(lambda v: sum(v) >= 1))
+        return (draw(st.integers(-40, 40)),) + tuple(qs)
+
+    return space, [(mono(), mono()) for _ in range(draw(st.integers(1, 2)))]
+
+
+@settings(max_examples=60)
+@given(wide_families())
+# y = +-3 * 40 and q0 = 3 * 5 reach the bound trunc * M_i exactly
+@example((canonical_space(1, 3), [((40, 1), (-40, 1)), ((-40, 1), (40, 1))]))
+@example((canonical_space(2, 3), [((1, 5, -4), (0, 5, -4)), ((0, -5, 6), (0, 1, 0))]))
+def test_expand_equals_tuple_pochhammer_product(case):
+    space, fams = case
+    want = Series.one(space)
+    for base, step in fams:
+        want = tuple_mul(want, tuple_pochhammer(space, base, step))
+    assert expand(space, fams) == want
+
+
 def test_substitute_is_homomorphism():
     rng = random.Random(13)
     src = space2(3)
@@ -270,11 +373,6 @@ def test_series_diff_report():
         series_diff_report(a, Series.zero(space2(3)))
 
 
-def capped_space(truncation, cap):
-    return VariableSpace(("z", "v1", "v2"), ("z",), truncation,
-                         {"v1": cap, "v2": cap})
-
-
 @st.composite
 def any_series(draw):
     """A series in a canonical or a capped space; graded exponents are
@@ -310,6 +408,14 @@ def test_json_chunks_equal_dumps(obj):
     indent=2 and to_json_dict for series."""
     want = json.dumps(obj, indent=2, default=to_json_dict)
     assert "".join(json_chunks(obj)) == want
+
+
+@settings(max_examples=30)
+@given(st.lists(_json_values, max_size=4))
+@example([])
+def test_json_chunks_write_iterators_as_lists(items):
+    want = json.dumps({"xs": items, "n": 1}, indent=2, default=to_json_dict)
+    assert "".join(json_chunks({"xs": iter(items), "n": 1})) == want
 
 
 def test_json_chunks_one_chunk_per_term():
