@@ -30,83 +30,108 @@ def _csv_ints(text):
     return tuple(int(p) for p in text.split(","))
 
 
-def parse_args(argv=None):
+def _ranks(p):
+    p.add_argument("--ranks", type=_csv_ints, required=True,
+                   metavar="R0,R1,..", help="rank vector, e.g. 2,1")
+
+
+def _blocks(p):
+    p.add_argument("--m", type=_csv_ints, required=True,
+                   metavar="M1,..", help="block multiplicities")
+    p.add_argument("--s", type=_csv_ints, required=True,
+                   metavar="S1,..", help="block labels, strictly increasing")
+
+
+def _occupation(p):
+    p.add_argument("--n", type=_csv_ints, required=True,
+                   metavar="N0,N1,..", help="occupation vector")
+
+
+def _size(p):
+    p.add_argument("--size", type=int, required=True, metavar="N",
+                   help="number of v variables")
+
+
+def _v_cap(p):
+    p.add_argument("--v-cap", type=int, default=4, dest="v_cap", metavar="C",
+                   help="cap on |v exponent| (default 4)")
+
+
+def _order(default):
+    def add(p):
+        p.add_argument("--max-order", type=int, default=default,
+                       dest="max_order", metavar="N",
+                       help="truncation order (default %d)" % default)
+    return add
+
+
+# command -> (help, argument adders after --format and --out, in order)
+COMMANDS = {
+    "zr-brute": ("generating function by fixed-point localization",
+                 (_ranks, _order(4))),
+    "zr-closed": ("generating function as a qtilde product",
+                  (_ranks, _order(4))),
+    "zr-u": ("generating function as a u-variable product",
+             (_ranks, _order(4))),
+    "verify-thm": ("check the qtilde product against localization",
+                   (_ranks, _order(4))),
+    "verify-prop34": ("check the u-variable product against the qtilde one",
+                      (_ranks, _order(4))),
+    "verify-wz": ("check the W-character factorization of Z",
+                  (_blocks, _order(4))),
+    "verify-appendixA": ("box-count bijections over a partition grid",
+                         (_order(12),)),
+    "verify-appendixB": ("off-diagonal product rearrangement chain",
+                         (_ranks, _order(4))),
+    "verify-lemma32": ("colored partition-sum identity over a grid",
+                       (_order(6),)),
+    "fixed-points": ("list fixed points of one component",
+                     (_ranks, _occupation)),
+    "morse": ("Morse indices, both ways, plus the Poincare polynomial",
+              (_ranks, _occupation)),
+    "tangent": ("equivariant tangent characters", (_ranks, _occupation)),
+    "characters": ("refined character blocks with factor lists",
+                   (_blocks, _order(4))),
+    "spin": ("block spin decomposition and free-field counts", (_blocks,)),
+    "verma-denominator": ("affine Verma denominator in (z, v) variables",
+                          (_size, _order(4), _v_cap)),
+    "acceptance": ("run the full acceptance grid and diff golden fixtures",
+                   ()),
+}
+
+
+def build_parser(commands, arguments=True):
+    """The argument parser with a subparser for each name in `commands`,
+    each with its arguments unless `arguments` is false."""
     ap = argparse.ArgumentParser(
         prog="laumon",
         description="exact generating functions, characters, and identity "
                     "checks for affine Laumon spaces")
     sub = ap.add_subparsers(dest="command", required=True, metavar="command")
+    for name in commands:
+        help_text, adders = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        if arguments:
+            p.add_argument("--format", choices=("json", "text"),
+                           default="json", help="output format (default json)")
+            p.add_argument("--out", default=None, metavar="PATH",
+                           help="write output to a file instead of stdout")
+            for add in adders:
+                add(p)
+    return ap
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "text"), default="json",
-                        help="output format (default json)")
-    common.add_argument("--out", default=None, metavar="PATH",
-                        help="write output to a file instead of stdout")
 
-    ranks = argparse.ArgumentParser(add_help=False)
-    ranks.add_argument("--ranks", type=_csv_ints, required=True,
-                       metavar="R0,R1,..", help="rank vector, e.g. 2,1")
-
-    blocks = argparse.ArgumentParser(add_help=False)
-    blocks.add_argument("--m", type=_csv_ints, required=True,
-                        metavar="M1,..", help="block multiplicities")
-    blocks.add_argument("--s", type=_csv_ints, required=True,
-                        metavar="S1,..", help="block labels, strictly increasing")
-
-    def order(p, default):
-        p.add_argument("--max-order", type=int, default=default,
-                       dest="max_order", metavar="N",
-                       help="truncation order (default %d)" % default)
-
-    p = sub.add_parser("zr-brute", parents=[common, ranks],
-                       help="generating function by fixed-point localization")
-    order(p, 4)
-    p = sub.add_parser("zr-closed", parents=[common, ranks],
-                       help="generating function as a qtilde product")
-    order(p, 4)
-    p = sub.add_parser("zr-u", parents=[common, ranks],
-                       help="generating function as a u-variable product")
-    order(p, 4)
-    p = sub.add_parser("verify-thm", parents=[common, ranks],
-                       help="check the qtilde product against localization")
-    order(p, 4)
-    p = sub.add_parser("verify-prop34", parents=[common, ranks],
-                       help="check the u-variable product against the qtilde one")
-    order(p, 4)
-    p = sub.add_parser("verify-wz", parents=[common, blocks],
-                       help="check the W-character factorization of Z")
-    order(p, 4)
-    p = sub.add_parser("verify-appendixA", parents=[common],
-                       help="box-count bijections over a partition grid")
-    order(p, 12)
-    p = sub.add_parser("verify-appendixB", parents=[common, ranks],
-                       help="off-diagonal product rearrangement chain")
-    order(p, 4)
-    p = sub.add_parser("verify-lemma32", parents=[common],
-                       help="colored partition-sum identity over a grid")
-    order(p, 6)
-    for name, help_text in (("fixed-points", "list fixed points of one component"),
-                            ("morse", "Morse indices, both ways, plus the "
-                                      "Poincare polynomial"),
-                            ("tangent", "equivariant tangent characters")):
-        p = sub.add_parser(name, parents=[common, ranks], help=help_text)
-        p.add_argument("--n", type=_csv_ints, required=True,
-                       metavar="N0,N1,..", help="occupation vector")
-    p = sub.add_parser("characters", parents=[common, blocks],
-                       help="refined character blocks with factor lists")
-    order(p, 4)
-    sub.add_parser("spin", parents=[common, blocks],
-                   help="block spin decomposition and free-field counts")
-    p = sub.add_parser("verma-denominator", parents=[common],
-                       help="affine Verma denominator in (z, v) variables")
-    p.add_argument("--size", type=int, required=True, metavar="N",
-                   help="number of v variables")
-    order(p, 4)
-    p.add_argument("--v-cap", type=int, default=4, dest="v_cap", metavar="C",
-                   help="cap on |v exponent| (default 4)")
-    sub.add_parser("acceptance", parents=[common],
-                   help="run the full acceptance grid and diff golden fixtures")
-
+def parse_args(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # every parser and argument costs gettext and terminal-size lookups, so
+    # build only the command named first; top-level help, which exits
+    # before any subparser runs, needs only the names; anything else (a
+    # usage error) gets every parser
+    first = argv[0] if argv else None
+    if first in COMMANDS:
+        ap = build_parser([first])
+    else:
+        ap = build_parser(COMMANDS, first not in ("-h", "--help"))
     cfg = ap.parse_args(argv)
     if getattr(cfg, "max_order", 0) < 0:
         ap.error("--max-order must be >= 0")
@@ -267,9 +292,8 @@ def _h_morse(cfg):
     entries = []
     agree = True
     poincare = {}
-    for fp in fps:
-        wf = localization.fixed_point_morse_index(fp, r)
-        wo = localization.morse_index_oracle(fp, r)
+    data = localization.fixed_point_data(r, fps)
+    for fp, (_, wf, _, _, wo) in zip(fps, data):
         agree = agree and wf == wo
         entries.append({"mus": [mu.to_list() for mu in fp.mus],
                         "formula": wf, "oracle": wo})
@@ -454,21 +478,16 @@ def run_acceptance():
     ok9 = True
     fp_total = 0
     for r in ACCEPTANCE_RANKS:
-        big_r = sum(r)
-        ell = len(r)
         inv_by_occ = {}
-        for total in range(5):
-            for fp in localization.fixed_points_of_size(r, total):
-                fp_total += 1
-                tc = localization.tangent_character(fp, r)
-                w = localization.fixed_point_morse_index(fp, r)
-                if w != localization.morse_index_from_tangent(tc, ell):
-                    ok5 = False
-                if localization.tangent_count(tc) != 2 * big_r * total or w < 0:
-                    ok9 = False
-                inv = localization.tangent_count(
-                    localization.invariant_part(tc, ell))
-                inv_by_occ.setdefault(fp.occupation(r), set()).add(inv)
+        for occ, w, terms, inv, w_tangent in localization.fixed_point_data(
+                r, (fp for total in range(5)
+                    for fp in localization.fixed_points_of_size(r, total))):
+            fp_total += 1
+            if w != w_tangent:
+                ok5 = False
+            if terms != 2 * sum(r) * sum(occ) or w < 0:
+                ok9 = False
+            inv_by_occ.setdefault(occ, set()).add(inv)
         if any(len(v) != 1 for v in inv_by_occ.values()):
             ok9 = False
     add("5 Morse formula vs weight count", ok5,

@@ -18,7 +18,7 @@ helpers take an already-checked tuple.
 """
 
 import itertools
-from operator import sub
+from operator import add, mul, sub
 
 from .partitions import Partition, colored_counts, enumerate_partitions
 from .series import Series, canonical_space
@@ -99,9 +99,9 @@ def _compositions(total, parts):
 
 def _all_tuples(r, total):
     """All fixed points of total box count exactly `total`, canonical order."""
-    big_r = sum(r)
-    for comp in _compositions(total, big_r):
-        for mus in itertools.product(*(enumerate_partitions(k) for k in comp)):
+    by_size = [enumerate_partitions(k) for k in range(total + 1)]
+    for comp in _compositions(total, sum(r)):
+        for mus in itertools.product(*(by_size[k] for k in comp)):
             yield FixedPoint(mus)
 
 
@@ -172,6 +172,32 @@ class RepRingElement:
         return "RepRingElement(%r, %r)" % (self.sector, self.terms)
 
 
+def _check_length(fp, big_r):
+    if len(fp.mus) != big_r:
+        raise ValueError("fixed point has %d components, expected %d"
+                         % (len(fp.mus), big_r))
+
+
+def _pair_terms(rows_a, h_a, rows_b, h_b, shift, ell):
+    """Terms of one sector pair from the row lengths and column heights of
+    mu_alpha and mu_beta and shift = a(beta) - a(alpha); boxes are taken
+    row by row, as Partition.boxes() yields them."""
+    terms = {}
+    for j, r_a in enumerate(rows_a, start=1):
+        r_b = rows_b[j - 1] if j <= len(rows_b) else 0
+        for i in range(1, r_a + 1):
+            t2 = h_a[i - 1] - j + 1
+            key = (i - r_b, t2, (shift + t2) % ell)
+            terms[key] = terms.get(key, 0) + 1
+    for j, r_b in enumerate(rows_b, start=1):
+        r_a = rows_a[j - 1] if j <= len(rows_a) else 0
+        for i in range(1, r_b + 1):
+            t2 = j - h_b[i - 1]
+            key = (r_a - i + 1, t2, (shift + t2) % ell)
+            terms[key] = terms.get(key, 0) + 1
+    return terms
+
+
 def tangent_character(fp, r):
     """One RepRingElement per pair (alpha, beta), alpha outer, beta inner.
 
@@ -185,34 +211,15 @@ def tangent_character(fp, r):
     """
     ell = len(r)
     big_r = sum(r)
-    if len(fp.mus) != big_r:
-        raise ValueError("fixed point has %d components, expected %d"
-                         % (len(fp.mus), big_r))
+    _check_length(fp, big_r)
     sectors = [sector_index(b, r) for b in range(1, big_r + 1)]
     rows = [mu.rows for mu in fp.mus]
     heights = [mu.col_heights() for mu in fp.mus]
-    out = []
-    for alpha in range(1, big_r + 1):
-        rows_a, h_a = rows[alpha - 1], heights[alpha - 1]
-        for beta in range(1, big_r + 1):
-            rows_b, h_b = rows[beta - 1], heights[beta - 1]
-            shift = sectors[beta - 1] - sectors[alpha - 1]
-            terms = {}
-            # boxes row by row, as Partition.boxes() yields them
-            for j, r_a in enumerate(rows_a, start=1):
-                r_b = rows_b[j - 1] if j <= len(rows_b) else 0
-                for i in range(1, r_a + 1):
-                    t2 = h_a[i - 1] - j + 1
-                    key = (i - r_b, t2, (shift + t2) % ell)
-                    terms[key] = terms.get(key, 0) + 1
-            for j, r_b in enumerate(rows_b, start=1):
-                r_a = rows_a[j - 1] if j <= len(rows_a) else 0
-                for i in range(1, r_b + 1):
-                    t2 = j - h_b[i - 1]
-                    key = (r_a - i + 1, t2, (shift + t2) % ell)
-                    terms[key] = terms.get(key, 0) + 1
-            out.append(RepRingElement((alpha, beta), terms))
-    return out
+    return [RepRingElement((alpha + 1, beta + 1),
+                           _pair_terms(rows[alpha], heights[alpha], rows[beta],
+                                       heights[beta],
+                                       sectors[beta] - sectors[alpha], ell))
+            for alpha in range(big_r) for beta in range(big_r)]
 
 
 def invariant_part(elements, ell):
@@ -228,14 +235,18 @@ def tangent_count(elements):
     return sum(e.count() for e in elements)
 
 
+def _morse_term(counts, col, offset, r):
+    """Index contribution of one component from its color counts, its
+    column count and its in-sector offset head(a) - beta + 1."""
+    return sum(map(mul, counts, r)) - col * offset
+
+
 def morse_index_formula(mu, beta, r):
     """Index contribution of one component: the color counts paired with
     the rank entries, minus the column count times the in-sector offset."""
-    ell = len(r)
     a = sector_index(beta, r)
-    counts = colored_counts(mu, a, ell)
-    head = sum(r[: a + 1])
-    return sum(counts[c] * r[c] for c in range(ell)) - mu.col * (head - beta + 1)
+    return _morse_term(colored_counts(mu, a, len(r)), mu.col,
+                       sum(r[: a + 1]) - beta + 1, r)
 
 
 def fixed_point_morse_index(fp, r):
@@ -268,14 +279,67 @@ def poincare_polynomial(r, n):
     return dict(sorted(out.items()))
 
 
+def fixed_point_data(r, fps):
+    """One tuple per fixed point of the iterable `fps`: its
+    FixedPoint.occupation, fixed_point_morse_index, tangent_count of
+    tangent_character and of its invariant_part, and morse_index_oracle.
+
+    Each is a sum over components or sector pairs, which fixed points
+    share, so within one call each distinct (mu, beta) and each distinct
+    (mu_alpha, mu_beta, a(beta) - a(alpha), alpha < beta) is computed
+    once.  A pair's counts come from its own RepRingElement, so the
+    formula and the weight count stay independent.
+    """
+    r = check_ranks(r)
+    ell = len(r)
+    big_r = sum(r)
+    sectors = [sector_index(b, r) for b in range(1, big_r + 1)]
+    offsets = [sum(r[: a + 1]) - beta for beta, a in enumerate(sectors)]
+    classes = [(alpha, beta, sectors[beta] - sectors[alpha], alpha < beta)
+               for alpha in range(big_r) for beta in range(big_r)]
+    components = {}
+    pairs = {}
+    out = []
+    for fp in fps:
+        _check_length(fp, big_r)
+        mus = fp.mus
+        n = (0,) * ell
+        w = total = inv = oracle = 0
+        for beta, mu in enumerate(mus):
+            key = (mu.rows, beta)
+            if key not in components:
+                counts = colored_counts(mu, sectors[beta], ell)
+                components[key] = (counts, _morse_term(counts, mu.col,
+                                                       offsets[beta], r))
+            counts, term = components[key]
+            n = tuple(map(add, n, counts))
+            w += term
+        for alpha, beta, shift, alpha_first in classes:
+            key = (mus[alpha].rows, mus[beta].rows, shift, alpha_first)
+            if key not in pairs:
+                e = [RepRingElement((alpha + 1, beta + 1), _pair_terms(
+                    mus[alpha].rows, mus[alpha].col_heights(), mus[beta].rows,
+                    mus[beta].col_heights(), shift, ell))]
+                pairs[key] = (tangent_count(e),
+                              tangent_count(invariant_part(e, ell)),
+                              morse_index_from_tangent(e, ell))
+            t, i, o = pairs[key]
+            total += t
+            inv += i
+            oracle += o
+        out.append((n, w, total, inv, oracle))
+    return out
+
+
 def brute_force_Z(r, n_max):
     """Localization sum: every fixed point with total box count <= n_max
     contributes y^(2w) times the q-monomial of its occupation vector.
 
     The occupation vector and the Morse index of a fixed point are sums of
     one term per component, so the sum over R-tuples of partitions is the
-    ordered product over beta of single-partition sums.  The factor of
-    beta depends only on (a(beta), head(a) - beta) and is built once.
+    ordered product over beta of single-partition sums.  The color counts
+    of each partition are computed once per sector a and serve both the
+    Morse term and the q-monomial of every factor in that sector.
     """
     r = check_ranks(r)
     if n_max < 0:
@@ -283,17 +347,16 @@ def brute_force_Z(r, n_max):
     ell = len(r)
     space = canonical_space(ell, n_max)
     mus = [mu for k in range(n_max + 1) for mu in enumerate_partitions(k)]
-    factors = {}
+    counts = {}
     out = Series.one(space)
     for beta in range(1, sum(r) + 1):
         a = sector_index(beta, r)
-        key = (a, sum(r[: a + 1]) - beta)
-        if key not in factors:
-            terms = {}
-            for mu in mus:
-                mono = ((2 * morse_index_formula(mu, beta, r),)
-                        + colored_counts(mu, a, ell))
-                terms[mono] = terms.get(mono, 0) + 1
-            factors[key] = Series.from_terms(space, terms)
-        out = out * factors[key]
+        if a not in counts:
+            counts[a] = [colored_counts(mu, a, ell) for mu in mus]
+        offset = sum(r[: a + 1]) - beta + 1
+        terms = {}
+        for mu, cc in zip(mus, counts[a]):
+            mono = (2 * _morse_term(cc, mu.col, offset, r),) + cc
+            terms[mono] = terms.get(mono, 0) + 1
+        out = out * Series.from_terms(space, terms)
     return out

@@ -35,6 +35,42 @@ def test_parse_args_defaults():
     assert cfg.max_order == 3
 
 
+SAMPLE_OPERANDS = {
+    "verify-wz": "--m 1,2 --s 1,2", "characters": "--m 1,2 --s 1,2",
+    "spin": "--m 1 --s 1", "verify-appendixA": "", "verify-lemma32": "",
+    "fixed-points": "--ranks 2,1 --n 1,1", "morse": "--ranks 2,1 --n 1,1",
+    "tangent": "--ranks 2,1 --n 1,1", "verma-denominator": "--size 2 --v-cap 3",
+    "acceptance": ""}
+
+
+def test_one_subparser_parses_and_helps_as_all():
+    """Building only the named command's parser, or for top-level help
+    no arguments, changes neither what is printed nor what is parsed."""
+    assert list(cli.COMMANDS) == list(cli._HANDLERS)
+
+    def printed(parse, argv):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(buf), \
+                pytest.raises(SystemExit):
+            parse(argv)
+        return buf.getvalue()
+
+    every = cli.build_parser(cli.COMMANDS)
+    # a leading unknown flag: the command's own arguments still parse
+    stray = ["-x", "zr-brute", "--ranks", "1,1"]
+    assert printed(every.parse_args, stray).endswith(
+        "unrecognized arguments: -x\n")
+    for argv in [["-h"], ["--help"], stray] + [[name, "--help"]
+                                               for name in cli.COMMANDS]:
+        assert printed(cli.parse_args, argv) \
+            == printed(every.parse_args, argv), argv
+    for name in cli.COMMANDS:
+        operands = SAMPLE_OPERANDS.get(name, "--ranks 2,1 --max-order 3")
+        for extra in ("", " --format text --out o.txt"):
+            argv = (name + " " + operands + extra).split()
+            assert cli.parse_args(argv) == every.parse_args(argv), argv
+
+
 def test_unknown_flag_is_usage_error(capsys):
     # verify-wz takes --m/--s, not --ranks
     code, out, err = run_main(capsys, "verify-wz", "--ranks", "1,1")

@@ -2,11 +2,12 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from laumon.localization import (FixedPoint, brute_force_Z, check_ranks,
-                                 enumerate_fixed_points, fixed_point_morse_index,
+from laumon.localization import (FixedPoint, _compositions, brute_force_Z,
+                                 check_ranks, enumerate_fixed_points,
+                                 fixed_point_data, fixed_point_morse_index,
                                  fixed_points_of_size, invariant_part,
                                  morse_index_formula, morse_index_from_tangent,
                                  morse_index_oracle, poincare_polynomial,
@@ -220,3 +221,34 @@ def test_occupation_roundtrip():
             n = fp.occupation(r)
             assert sum(n) == total
             assert fp in enumerate_fixed_points(r, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(0, 2), min_size=2, max_size=4)
+       .filter(lambda v: sum(v) > 0), st.integers(0, 4))
+@example([2, 2, 2, 2], 4)
+def test_fixed_point_data_matches_per_fixed_point(r, top):
+    """The shared-pair computation gives, for every fixed point of total
+    size <= top, exactly what the per-fixed-point functions give."""
+    fps = [fp for total in range(top, -1, -1)
+           for fp in fixed_points_of_size(r, total)]
+    got = fixed_point_data(r, fps)
+    assert len(got) == len(fps)
+    for fp, d in zip(fps, got):
+        tc = tangent_character(fp, r)
+        assert d == (fp.occupation(r), fixed_point_morse_index(fp, r),
+                     tangent_count(tc),
+                     tangent_count(invariant_part(tc, len(r))),
+                     morse_index_oracle(fp, r)), (r, fp)
+
+
+def test_fixed_points_of_size_matches_per_composition():
+    """Partitions enumerated once per size give the tuples the
+    per-composition enumeration gave, in the same order."""
+    def reference(r, total):
+        return [FixedPoint(mus) for comp in _compositions(total, sum(r))
+                for mus in itertools.product(
+                    *(enumerate_partitions(k) for k in comp))]
+    for r in ((1, 1), (2, 1), (0, 2), (1, 1, 1), (2, 0, 1), (1, 2, 1, 1)):
+        for total in range(6):
+            assert fixed_points_of_size(r, total) == reference(r, total)
