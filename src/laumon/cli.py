@@ -11,9 +11,11 @@ Exit codes: 0 success or verified equality, 1 verification discrepancy,
 
 import argparse
 import contextlib
+import functools
 import itertools
 import json
 import random
+import shutil
 import sys
 from importlib import resources
 
@@ -65,73 +67,36 @@ def _order(default):
     return add
 
 
-# command -> (help, argument adders after --format and --out, in order)
-COMMANDS = {
-    "zr-brute": ("generating function by fixed-point localization",
-                 (_ranks, _order(4))),
-    "zr-closed": ("generating function as a qtilde product",
-                  (_ranks, _order(4))),
-    "zr-u": ("generating function as a u-variable product",
-             (_ranks, _order(4))),
-    "verify-thm": ("check the qtilde product against localization",
-                   (_ranks, _order(4))),
-    "verify-prop34": ("check the u-variable product against the qtilde one",
-                      (_ranks, _order(4))),
-    "verify-wz": ("check the W-character factorization of Z",
-                  (_blocks, _order(4))),
-    "verify-appendixA": ("box-count bijections over a partition grid",
-                         (_order(12),)),
-    "verify-appendixB": ("off-diagonal product rearrangement chain",
-                         (_ranks, _order(4))),
-    "verify-lemma32": ("colored partition-sum identity over a grid",
-                       (_order(6),)),
-    "fixed-points": ("list fixed points of one component",
-                     (_ranks, _occupation)),
-    "morse": ("Morse indices, both ways, plus the Poincare polynomial",
-              (_ranks, _occupation)),
-    "tangent": ("equivariant tangent characters", (_ranks, _occupation)),
-    "characters": ("refined character blocks with factor lists",
-                   (_blocks, _order(4))),
-    "spin": ("block spin decomposition and free-field counts", (_blocks,)),
-    "verma-denominator": ("affine Verma denominator in (z, v) variables",
-                          (_size, _order(4), _v_cap)),
-    "acceptance": ("run the full acceptance grid and diff golden fixtures",
-                   ()),
-}
-
-
-def build_parser(commands, arguments=True):
-    """The argument parser with a subparser for each name in `commands`,
-    each with its arguments unless `arguments` is false."""
+def build_parser(commands):
+    """The argument parser with a subparser for each name in `commands`."""
+    # every parser and argument makes a help formatter, which would look
+    # up the terminal size again; this is the width each would compute
+    fmt = functools.partial(argparse.HelpFormatter,
+                            width=shutil.get_terminal_size().columns - 2)
     ap = argparse.ArgumentParser(
-        prog="laumon",
+        prog="laumon", formatter_class=fmt,
         description="exact generating functions, characters, and identity "
                     "checks for affine Laumon spaces")
     sub = ap.add_subparsers(dest="command", required=True, metavar="command")
     for name in commands:
-        help_text, adders = COMMANDS[name]
-        p = sub.add_parser(name, help=help_text)
-        if arguments:
-            p.add_argument("--format", choices=("json", "text"),
-                           default="json", help="output format (default json)")
-            p.add_argument("--out", default=None, metavar="PATH",
-                           help="write output to a file instead of stdout")
-            for add in adders:
-                add(p)
+        help_text, adders, _ = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text, formatter_class=fmt)
+        p.add_argument("--format", choices=("json", "text"),
+                       default="json", help="output format (default json)")
+        p.add_argument("--out", default=None, metavar="PATH",
+                       help="write output to a file instead of stdout")
+        for add in adders:
+            add(p)
     return ap
 
 
 def parse_args(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     # every parser and argument costs gettext and terminal-size lookups, so
-    # build only the command named first; top-level help, which exits
-    # before any subparser runs, needs only the names; anything else (a
-    # usage error) gets every parser
+    # build only the command named first; anything else (help or a usage
+    # error) gets every parser
     first = argv[0] if argv else None
-    if first in COMMANDS:
-        ap = build_parser([first])
-    else:
-        ap = build_parser(COMMANDS, first not in ("-h", "--help"))
+    ap = build_parser([first] if first in COMMANDS else COMMANDS)
     cfg = ap.parse_args(argv)
     if getattr(cfg, "max_order", 0) < 0:
         ap.error("--max-order must be >= 0")
@@ -579,24 +544,45 @@ def _h_acceptance(cfg):
     return (0 if all_passed else 1), payload, text
 
 
-_HANDLERS = {
-    "zr-brute": _h_zr_brute,
-    "zr-closed": _h_zr_closed,
-    "zr-u": _h_zr_u,
-    "verify-thm": _h_verify_thm,
-    "verify-prop34": _h_verify_prop34,
-    "verify-wz": _h_verify_wz,
-    "verify-appendixA": _h_verify_appendixA,
-    "verify-appendixB": _h_verify_appendixB,
-    "verify-lemma32": _h_verify_lemma32,
-    "fixed-points": _h_fixed_points,
-    "morse": _h_morse,
-    "tangent": _h_tangent,
-    "characters": _h_characters,
-    "spin": _h_spin,
-    "verma-denominator": _h_verma,
-    "acceptance": _h_acceptance,
+# command -> (help, argument adders after --format and --out in order,
+#             handler)
+COMMANDS = {
+    "zr-brute": ("generating function by fixed-point localization",
+                 (_ranks, _order(4)), _h_zr_brute),
+    "zr-closed": ("generating function as a qtilde product",
+                  (_ranks, _order(4)), _h_zr_closed),
+    "zr-u": ("generating function as a u-variable product",
+             (_ranks, _order(4)), _h_zr_u),
+    "verify-thm": ("check the qtilde product against localization",
+                   (_ranks, _order(4)), _h_verify_thm),
+    "verify-prop34": ("check the u-variable product against the qtilde one",
+                      (_ranks, _order(4)), _h_verify_prop34),
+    "verify-wz": ("check the W-character factorization of Z",
+                  (_blocks, _order(4)), _h_verify_wz),
+    "verify-appendixA": ("box-count bijections over a partition grid",
+                         (_order(12),), _h_verify_appendixA),
+    "verify-appendixB": ("off-diagonal product rearrangement chain",
+                         (_ranks, _order(4)), _h_verify_appendixB),
+    "verify-lemma32": ("colored partition-sum identity over a grid",
+                       (_order(6),), _h_verify_lemma32),
+    "fixed-points": ("list fixed points of one component",
+                     (_ranks, _occupation), _h_fixed_points),
+    "morse": ("Morse indices, both ways, plus the Poincare polynomial",
+              (_ranks, _occupation), _h_morse),
+    "tangent": ("equivariant tangent characters", (_ranks, _occupation),
+                _h_tangent),
+    "characters": ("refined character blocks with factor lists",
+                   (_blocks, _order(4)), _h_characters),
+    "spin": ("block spin decomposition and free-field counts", (_blocks,),
+             _h_spin),
+    "verma-denominator": ("affine Verma denominator in (z, v) variables",
+                          (_size, _order(4), _v_cap), _h_verma),
+    "acceptance": ("run the full acceptance grid and diff golden fixtures",
+                   (), _h_acceptance),
 }
+
+# the dispatch table run() reads; a tracer may rebind its entries
+_HANDLERS = {name: h for name, (_, _, h) in COMMANDS.items()}
 
 
 def run(cfg):

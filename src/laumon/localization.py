@@ -180,8 +180,8 @@ def _check_length(fp, big_r):
 
 def _pair_terms(rows_a, h_a, rows_b, h_b, shift, ell):
     """Terms of one sector pair from the row lengths and column heights of
-    mu_alpha and mu_beta and shift = a(beta) - a(alpha); boxes are taken
-    row by row, as Partition.boxes() yields them."""
+    mu_alpha and mu_beta and shift = a(beta) - a(alpha), which counts only
+    mod ell; boxes are taken row by row, as Partition.boxes() yields them."""
     terms = {}
     for j, r_a in enumerate(rows_a, start=1):
         r_b = rows_b[j - 1] if j <= len(rows_b) else 0
@@ -286,16 +286,18 @@ def fixed_point_data(r, fps):
 
     Each is a sum over components or sector pairs, which fixed points
     share, so within one call each distinct (mu, beta) and each distinct
-    (mu_alpha, mu_beta, a(beta) - a(alpha), alpha < beta) is computed
-    once.  A pair's counts come from its own RepRingElement, so the
-    formula and the weight count stay independent.
+    (mu_alpha, mu_beta, a(beta) - a(alpha) mod ell, alpha < beta) is
+    computed once.  A pair's counts come from its own RepRingElement, so
+    the formula and the weight count stay independent.
     """
     r = check_ranks(r)
     ell = len(r)
     big_r = sum(r)
     sectors = [sector_index(b, r) for b in range(1, big_r + 1)]
     offsets = [sum(r[: a + 1]) - beta for beta, a in enumerate(sectors)]
-    classes = [(alpha, beta, sectors[beta] - sectors[alpha], alpha < beta)
+    # _pair_terms reads the shift only mod ell
+    classes = [(alpha, beta, (sectors[beta] - sectors[alpha]) % ell,
+                alpha < beta)
                for alpha in range(big_r) for beta in range(big_r)]
     components = {}
     pairs = {}

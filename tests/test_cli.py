@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -44,9 +45,8 @@ SAMPLE_OPERANDS = {
 
 
 def test_one_subparser_parses_and_helps_as_all():
-    """Building only the named command's parser, or for top-level help
-    no arguments, changes neither what is printed nor what is parsed."""
-    assert list(cli.COMMANDS) == list(cli._HANDLERS)
+    """Building only the named command's parser changes neither what is
+    printed nor what is parsed."""
 
     def printed(parse, argv):
         buf = io.StringIO()
@@ -69,6 +69,20 @@ def test_one_subparser_parses_and_helps_as_all():
         for extra in ("", " --format text --out o.txt"):
             argv = (name + " " + operands + extra).split()
             assert cli.parse_args(argv) == every.parse_args(argv), argv
+
+
+@pytest.mark.parametrize("columns", ["40", "60", "100"])
+def test_help_width_is_argparse_default(monkeypatch, columns):
+    """The shared help-formatter width wraps help as each parser's own
+    default formatter would."""
+    monkeypatch.setenv("COLUMNS", columns)
+    ap = cli.build_parser(cli.COMMANDS)
+    sub = next(a for a in ap._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for p in [ap] + list(sub.choices.values()):
+        got = p.format_help()
+        p.formatter_class = argparse.HelpFormatter
+        assert p.format_help() == got, p.prog
 
 
 def test_unknown_flag_is_usage_error(capsys):
