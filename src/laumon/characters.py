@@ -15,11 +15,12 @@ the series kernel's `expand` divides out the whole list.
 
 import itertools
 from collections import namedtuple
+from operator import sub
 
 from .closed_form import qtilde_monomial, theorem_Z, u_exponents
 from .localization import brute_force_Z
 from .series import (Series, VariableSpace, canonical_space, expand,
-                     pochhammer_inverse, series_diff_report, substitute)
+                     series_diff_report)
 
 UZFactor = namedtuple("UZFactor", ["y", "z", "u"])
 
@@ -293,25 +294,60 @@ def verma_space(N, n_max, v_cap=4):
     return VariableSpace(names, ("z",), n_max, caps)
 
 
+def _zv_families(space, factors):
+    """(base, step) monomials in canonical_space(N, .) of factors in the
+    (z, v) variables at y=1, under z -> q0..q{N-1} and v_c -> u_c."""
+    N = len(space.names) - 1
+    r = (0,) * N
+    z = qtilde_monomial(space, r, [1] * N)
+    return [(factor_base_canonical(space, r, f._replace(y=0)), z)
+            for f in factors]
+
+
+def _expand_zv(N, n_max, v_cap, factors):
+    """Product of the factors' families at y=1 in verma_space(N, n_max,
+    v_cap), exact on the whole window.
+
+    The (z, v) exponents of every factor have v exponents summing to 0, and
+    on that lattice the map of `_zv_families` is injective: q0 reads z, and
+    q_{N-k} reads z - (v_1 + .. + v_k).  A monomial of the window has image
+    degree at most W = N n_max + v_cap floor(N^2/4), so one expansion at W,
+    pulled back and cropped to the window, is exact.
+    """
+    window = verma_space(N, n_max, v_cap)
+    space = canonical_space(N, N * n_max + v_cap * (N * N // 4))
+    terms = {}
+    for m, c in expand(space, _zv_families(space, factors)).terms.items():
+        z = m[1]
+        if z > n_max:
+            continue
+        sums = [0] + [z - e for e in reversed(m[2:])] + [0]    # v_1 + .. + v_k
+        v = tuple(map(sub, sums[1:], sums[:-1]))
+        # cropped here, as most wide terms lie outside the window
+        if max(map(abs, v)) <= v_cap:
+            terms[(z,) + v] = c
+    return Series.from_terms(window, terms)
+
+
+def affine_verma_factors(N):
+    """prod_n (1-z^n)^N prod_{i<j} prod_n (1 - v_j v_i^(-1) z^(n-1))
+    (1 - v_i v_j^(-1) z^n) as factors, v_c written as u_c."""
+    zero = (0,) * N
+    out = [UZFactor(0, 1, zero)] * N
+    for i, j in itertools.combinations(range(1, N + 1), 2):
+        out.append(UZFactor(0, 0, _upair(N, j, i)))
+        out.append(UZFactor(0, 1, _upair(N, i, j)))
+    return out
+
+
 def affine_verma_denominator(N, n_max, v_cap=4):
-    """Inverse of prod_n (1-z^n)^N prod_{i<j} prod_n
-    (1 - v_j v_i^(-1) z^(n-1)) (1 - v_i v_j^(-1) z^n), z-graded with the
-    v exponents capped at v_cap in absolute value; the highest-weight
-    prefactor prod v_i^(x_i) is dropped."""
+    """Inverse of the product of `affine_verma_factors(N)`, z-graded to
+    order n_max and cropped to v exponents of absolute value <= v_cap; the
+    highest-weight prefactor prod v_i^(x_i) is dropped.  Every coefficient
+    in the window is exact."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    space = verma_space(N, n_max, v_cap)
-    zm = space.mono(z=1)
-    out = Series.one(space)
-    for _ in range(N):
-        out = out * pochhammer_inverse(space, zm, zm)
-    for i in range(1, N + 1):
-        for j in range(i + 1, N + 1):
-            up = space.mono({"v%d" % j: 1, "v%d" % i: -1})
-            out = out * pochhammer_inverse(space, up, zm)
-            down = space.mono({"v%d" % i: 1, "v%d" % j: -1, "z": 1})
-            out = out * pochhammer_inverse(space, down, zm)
-    return out
+    return _expand_zv(N, n_max, v_cap, affine_verma_factors(N))
 
 
 def x_i_unrefined_zu(b, i, n_max, v_cap=4):
@@ -319,58 +355,26 @@ def x_i_unrefined_zu(b, i, n_max, v_cap=4):
     u_c becomes the variable v_c (including u_ell) and z stays its own
     z-graded variable, so the result is directly comparable with the
     affine Verma denominator."""
-    ell = b.ell
-    space = verma_space(ell, n_max, v_cap)
-    zm = space.mono(z=1)
-    out = Series.one(space)
-    for f in x_i_factors(b, i):
-        exps = {"z": f.z}
-        for idx in range(1, ell + 1):
-            if f.u[idx - 1]:
-                exps["v%d" % idx] = f.u[idx - 1]
-        out = out * pochhammer_inverse(space, space.mono(exps), zm)
-    return out
+    return _expand_zv(b.ell, n_max, v_cap, x_i_factors(b, i))
 
 
-def zu_image_degree(N, m):
-    """q-degree of a (z, v) monomial's image under z -> q_0..q_{N-1},
-    v_c -> the y=1 resolution of u_c (a product of N-c inverse q's)."""
-    return m[0] * N + sum(m[c] * (c - N) for c in range(1, N + 1))
-
-
-def _zu_sound_part(s, N, n_max):
-    # below the image-degree window every contributing route stays inside
-    # the v caps (image degrees only accumulate), so coefficients there
-    # are exact and independent of the factor order; above it the capped
-    # computation is order-sensitive and not comparable
-    kept = {m: c for m, c in s.terms.items()
-            if zu_image_degree(N, m) <= n_max}
-    return Series.from_terms(s.space, kept)
-
-
-def verify_verma_vs_X1(N, n_max=4, v_cap=4):
+def verify_verma_vs_X1(N, n_max=4, v_cap=4, denominator=None):
     """Two-sided check that the single-block character at y=1 and the
     affine Verma denominator coincide under u_c <-> v_c.
 
-    Check one maps the denominator into the canonical (y, q) space by
+    Check one expands the Verma factors in the canonical (y, q) space under
     z -> q_0..q_{N-1} and v_c -> the y=1 resolution of u_c, and compares
-    with X_1 restricted at y=1.  Check two re-expands the X_1 factors in
-    the (z, v) space and compares with the denominator coefficient by
-    coefficient on the window of image degree <= n_max, where the capped
-    arithmetic is exact."""
+    with X_1 restricted at y=1.  Check two expands the X_1 factors in the
+    (z, v) space and compares with the denominator on its whole window.
+    `denominator`, if given, is affine_verma_denominator(N, n_max, v_cap)
+    already computed."""
     b = BlockData((N,), (1,))
-    den = affine_verma_denominator(N, n_max, v_cap)
     target = canonical_space(N, n_max)
-    mapping = {"z": target.mono({"q%d" % a: 1 for a in range(N)})}
-    for c in range(1, N + 1):
-        uv = u_exponents(N, c)
-        mapping["v%d" % c] = target.mono({"q%d" % a: uv[a] for a in range(N)})
-    mapped = substitute(den, mapping, target)
-    x1 = X_i(b, 1, n_max).restrict("y")
-    rep1 = series_diff_report(mapped, x1)
-    zu = x_i_unrefined_zu(b, 1, n_max, v_cap)
-    rep2 = series_diff_report(_zu_sound_part(den, N, n_max),
-                              _zu_sound_part(zu, N, n_max))
+    mapped = expand(target, _zv_families(target, affine_verma_factors(N)))
+    rep1 = series_diff_report(mapped, X_i(b, 1, n_max).restrict("y"))
+    if denominator is None:
+        denominator = affine_verma_denominator(N, n_max, v_cap)
+    rep2 = series_diff_report(denominator, x_i_unrefined_zu(b, 1, n_max, v_cap))
     return {"equal": rep1["equal"] and rep2["equal"],
             "checks": [dict(rep1, name="substituted_vs_X1"),
                        dict(rep2, name="direct_zu_vs_denominator")]}

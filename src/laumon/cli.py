@@ -26,6 +26,8 @@ ACCEPTANCE_RANKS = ((1, 1), (2, 1), (1, 1, 1), (2, 2, 1), (2, 1, 1))
 ACCEPTANCE_BLOCKS = (((2,), (1,)), ((1, 1), (1, 2)),
                      ((2, 1), (1, 2)), ((1, 2), (1, 2)))
 ACCEPTANCE_APPB = ((1, 2, 1), (1, 1, 1), (2, 2, 1), (2, 1, 1, 1))
+# (N, z-degree, v-cap) of criterion 10c, n > cap included
+ACCEPTANCE_VERMA = ((2, 4, 4), (3, 4, 4), (2, 6, 4), (3, 6, 2))
 
 
 def _csv_ints(text):
@@ -56,7 +58,8 @@ def _size(p):
 
 def _v_cap(p):
     p.add_argument("--v-cap", type=int, default=4, dest="v_cap", metavar="C",
-                   help="cap on |v exponent| (default 4)")
+                   help="print only the terms with every |v exponent| <= C "
+                        "(default 4)")
 
 
 def _order(default):
@@ -507,19 +510,18 @@ def run_acceptance():
     add("10b free-field count difference", ok_b,
         "%d odd-parity pairs among the same shapes" % pairs_checked)
 
-    ok_c = True
-    for n in (2, 3):
-        if not characters.verify_verma_vs_X1(n, 4, 4)["equal"]:
-            ok_c = False
+    # the golden fixtures' denominators, shared with 10c
+    verma = {(n, 4, 4): characters.affine_verma_denominator(n, 4, 4)
+             for n in (2, 3)}
+    ok_c = all(characters.verify_verma_vs_X1(*t, verma.get(t))["equal"]
+               for t in ACCEPTANCE_VERMA)
     add("10c Verma denominator vs single-block character", ok_c,
-        "N in {2,3}, z-degree 4, v-cap 4, both directions")
+        "(N, z-degree, v-cap) in %s, both directions"
+        % ", ".join("(%d,%d,%d)" % t for t in ACCEPTANCE_VERMA))
 
     for name, (kind, arg) in golden_names():
         want = _load_golden(name)
-        if kind == "zr":
-            got = closed_cache[arg]
-        else:
-            got = characters.affine_verma_denominator(arg, 4, 4)
+        got = closed_cache[arg] if kind == "zr" else verma[(arg, 4, 4)]
         passed = want is not None and series.from_json_dict(want) == got
         add("golden %s" % name, passed,
             "fixture match" if passed else

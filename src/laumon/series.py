@@ -2,9 +2,10 @@
 
 A VariableSpace fixes an ordered list of variable names, the subset of
 variables whose total exponent is the truncation grading, the truncation
-bound, and optional per-variable caps on absolute exponents (needed by
-spaces with ungraded Laurent directions that would otherwise produce
-infinitely many terms at a fixed graded degree).
+bound, and optional per-variable caps on absolute exponents.  Caps are
+only an output window: `Series.from_terms` crops to them and JSON records
+them, but cropping to a cap is not a ring map, so the products (`__mul__`,
+`expand`) and `substitute` refuse a capped space.
 
 Monomials are exponent tuples aligned with the variable order.  Series
 coefficients are arbitrary-precision integers.  The two product kernels,
@@ -76,10 +77,6 @@ class VariableSpace:
 
     def caps_ok(self, m):
         return all(abs(m[i]) <= c for i, c in self._cidx)
-
-    def admits(self, m):
-        g = self.gdeg(m)
-        return 0 <= g <= self.truncation and self.caps_ok(m)
 
     def mono_mul(self, m1, m2):
         return tuple(a + b for a, b in zip(m1, m2))
@@ -238,6 +235,8 @@ class Series:
             return Series(self.space, {m: c * other for m, c in self.terms.items()})
         self._require_same(other)
         sp = self.space
+        if sp.caps:
+            raise SeriesError("product on a capped space")
         if not self.terms or not other.terms:
             return Series(sp, {})
         # packed keys: the key of m1 (offsets lo_a) plus the key of m2
@@ -261,13 +260,8 @@ class Series:
                 k = k1 + k2
                 out[k] = get(k, 0) + c1 * c2
         del a, b    # the packed operands; unpacking sets the peak memory
-        terms = {m: c for m, c in zip(keys.unpack(out), out.values()) if c}
-        if sp.caps:
-            # caps_ok depends only on the product monomial, so checking
-            # each output term skips exactly the pairs a per-pair check would
-            caps_ok = sp.caps_ok
-            terms = {m: c for m, c in terms.items() if caps_ok(m)}
-        return Series(sp, terms)
+        return Series(sp, {m: c for m, c in zip(keys.unpack(out), out.values())
+                           if c})
 
     __rmul__ = __mul__
 
@@ -303,21 +297,14 @@ class Series:
 def geometric_inverse(space, m):
     """Expansion of 1/(1 - m) as 1 + m + m^2 + ... in the truncated ring.
 
-    Requires a direction in which the powers die out: graded degree >= 1,
-    or graded degree 0 with a non-zero exponent on a capped variable.
+    Requires graded degree >= 1, so that the powers die out.
     """
     m = tuple(m)
     g = space.gdeg(m)
-    if g < 0:
-        raise SeriesError("geometric_inverse: graded degree %d < 0" % g)
-    if g == 0 and not any(m[i] for i, _ in space._cidx):
-        raise SeriesError("geometric_inverse: graded degree 0 and no capped exponent")
-    terms = {}
-    p = space.unit()
-    while space.admits(p):
-        terms[p] = 1
-        p = space.mono_mul(p, m)
-    return Series(space, terms)
+    if g < 1:
+        raise SeriesError("geometric_inverse: graded degree %d < 1" % g)
+    return Series.from_terms(space, {space.mono_pow(m, k): 1
+                                     for k in range(space.truncation // g + 1)})
 
 
 def pochhammer_inverse(space, m, z):
@@ -394,11 +381,13 @@ def expand(space, families):
 def substitute(s, mapping, target):
     """Monomial-wise ring homomorphism into another space.
 
-    Every source variable must have an image monomial in the target space.
-    Image monomials above the target truncation (or violating a cap) are
-    dropped; an image of negative graded degree is an error, since it
+    Every source variable must have an image monomial in the target space,
+    which may not be capped.  Image monomials above the target truncation
+    are dropped; an image of negative graded degree is an error, since it
     signals a variable change that is illegal for the chosen grading.
     """
+    if target.caps:
+        raise SeriesError("substitute: capped target space")
     src = s.space
     images = []
     for name in src.names:
@@ -417,7 +406,7 @@ def substitute(s, mapping, target):
         g = target.gdeg(img)
         if g < 0:
             raise SeriesError("substitute: image monomial has negative graded degree")
-        if g > target.truncation or not target.caps_ok(img):
+        if g > target.truncation:
             continue
         nc = out.get(img, 0) + c
         if nc:

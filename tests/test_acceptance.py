@@ -158,10 +158,11 @@ def test_criterion_10_characters_and_free_fields():
     report("10b", ok_b, "free-field fermion counts differ by 2*m_i*m_j*"
                         "(s_j-s_i) with no betagamma on %d odd/odd pairs"
                         % pairs)
-    ok_c = all(characters.verify_verma_vs_X1(n, 4, 4)["equal"]
-               for n in (2, 3))
+    ok_c = all(characters.verify_verma_vs_X1(*t)["equal"]
+               for t in ((2, 4, 4), (3, 4, 4), (2, 6, 4), (3, 6, 2)))
     report("10c", ok_c, "affine Verma denominator matches the single-block "
-                        "character both ways for N in {2,3}")
+                        "character both ways at (N, z-degree, v-cap) in "
+                        "(2,4,4), (3,4,4), (2,6,4), (3,6,2)")
 
 
 def test_golden_fixtures():

@@ -1,6 +1,9 @@
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from laumon import characters as ch
 from laumon.closed_form import theorem_Z
@@ -166,11 +169,81 @@ def test_affine_verma_denominator_order_zero():
 
 
 def test_verify_verma_vs_X1():
-    for n in (1, 2, 3):
-        rep = ch.verify_verma_vs_X1(n, 4, 4)
-        assert rep["equal"], rep
+    for args in ((1, 4, 4), (2, 4, 4), (3, 4, 4), (2, 5, 4), (3, 5, 4),
+                 (2, 4, 2), (2, 6, 4), (3, 6, 2)):
+        rep = ch.verify_verma_vs_X1(*args)
+        assert rep["equal"], (args, rep)
         assert [c["name"] for c in rep["checks"]] == [
             "substituted_vs_X1", "direct_zu_vs_denominator"]
+        assert all(c["coefficients"] > 0 for c in rep["checks"])
+
+
+def test_x_i_unrefined_zu_of_a_first_block_is_the_verma_denominator():
+    # block 1 of (2,1),(1,2) holds u1, u2 with label 1: the N=2 factors
+    b = ch.BlockData((2, 1), (1, 2))
+    den = ch.affine_verma_denominator(2, 4, 3)
+    assert ch.x_i_unrefined_zu(b, 1, 4, 3).terms == {
+        m + (0,): c for m, c in den.terms.items()}
+
+
+def capped_mul(space, a, b):
+    """Product of two term dicts pair by pair, dropping every monomial
+    outside the truncation or the caps."""
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = space.mono_mul(m1, m2)
+            if space.gdeg(m) <= space.truncation and space.caps_ok(m):
+                out[m] = out.get(m, 0) + c1 * c2
+    return out
+
+
+def capped_geometric(space, m):
+    """The powers of m inside the truncation and the caps."""
+    out, p = {}, space.unit()
+    while space.gdeg(p) <= space.truncation and space.caps_ok(p):
+        out[p] = 1
+        p = space.mono_mul(p, m)
+    return out
+
+
+def reference_verma(N, n_max, v_cap):
+    """The Verma product multiplied out pair by pair from geometric series
+    at cap v_cap + 10, then cropped to v_cap.  For N <= 3 a route to a
+    monomial of the window strays at most n_max beyond the cap in any v
+    exponent, as each step back costs a power of z, so for n_max <= 10 the
+    wide cap drops none."""
+    wide = ch.verma_space(N, n_max, v_cap + 10)
+    z = wide.mono(z=1)
+    bases = [z] * N
+    for i, j in combinations(range(1, N + 1), 2):
+        bases.append(wide.mono({"v%d" % j: 1, "v%d" % i: -1}))
+        bases.append(wide.mono({"v%d" % i: 1, "v%d" % j: -1, "z": 1}))
+    out = {wide.unit(): 1}
+    for m in bases:
+        while wide.gdeg(m) <= n_max:
+            out = capped_mul(wide, out, capped_geometric(wide, m))
+            m = wide.mono_mul(m, z)
+    return Series.from_terms(ch.verma_space(N, n_max, v_cap), out)
+
+
+@pytest.mark.parametrize("args", [(2, 4, 4), (3, 4, 4), (2, 6, 4), (3, 6, 2)])
+def test_affine_verma_denominator_matches_wide_cap_reference(args):
+    assert ch.affine_verma_denominator(*args) == reference_verma(*args)
+
+
+def test_affine_verma_denominator_pinned_coefficients():
+    # a capped product of every intermediate gave 3 and 39
+    assert ch.affine_verma_denominator(2, 4, 4).coefficient((1, -4, 4)) == 4
+    assert ch.affine_verma_denominator(3, 6, 4).coefficient((6, 4, 0, -4)) == 57
+
+
+@settings(max_examples=40)
+@given(st.integers(1, 3), st.integers(0, 4), st.integers(0, 3))
+def test_affine_verma_denominator_crop_stable(N, n_max, v_cap):
+    wider = ch.affine_verma_denominator(N, n_max, v_cap + 2)
+    assert (Series.from_terms(ch.verma_space(N, n_max, v_cap), wider.terms)
+            == ch.affine_verma_denominator(N, n_max, v_cap))
 
 
 def test_render_factor():

@@ -212,6 +212,17 @@ def test_verma_denominator(capsys):
     assert [s.coefficient((k, 0)) for k in range(7)] == [1, 1, 2, 3, 5, 7, 11]
 
 
+def test_verma_denominator_matches_benchmark_reference(capsys):
+    line = "verma-denominator --size 3 --max-order 6 --v-cap 4"
+    refs = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                        "references.json")
+    with open(refs) as f:
+        want = json.load(f)["ops"][line]
+    code, out, err = run_main(capsys, *line.split())
+    assert code == want["exit"] == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == want["sha256"]
+
+
 def test_out_file(tmp_path, capsys):
     path = tmp_path / "z.json"
     code, out, err = run_main(capsys, "zr-closed", "--ranks", "1,1",
