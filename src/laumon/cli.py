@@ -2,8 +2,8 @@
 
 Commands compute the generating function both ways, dump fixed-point and
 tangent data, expand the refined characters, and verify every identity in
-scope; `acceptance` reruns the whole verification grid and diffs the
-shipped golden fixtures.
+scope; `acceptance` prints one line per row of `acceptance.CRITERIA`, the
+whole verification grid and the shipped golden fixtures.
 
 Exit codes: 0 success or verified equality, 1 verification discrepancy,
 2 usage error, 3 internal assertion failure.
@@ -14,20 +14,12 @@ import contextlib
 import functools
 import itertools
 import json
-import random
 import shutil
 import sys
-from importlib import resources
 
-from . import characters, closed_form, localization, partitions, series
+from . import (acceptance, characters, closed_form, localization, partitions,
+               series)
 from .series import SeriesError
-
-ACCEPTANCE_RANKS = ((1, 1), (2, 1), (1, 1, 1), (2, 2, 1), (2, 1, 1))
-ACCEPTANCE_BLOCKS = (((2,), (1,)), ((1, 1), (1, 2)),
-                     ((2, 1), (1, 2)), ((1, 2), (1, 2)))
-ACCEPTANCE_APPB = ((1, 2, 1), (1, 1, 1), (2, 2, 1), (2, 1, 1, 1))
-# (N, z-degree, v-cap) of criterion 10c, n > cap included
-ACCEPTANCE_VERMA = ((2, 4, 4), (3, 4, 4), (2, 6, 4), (3, 6, 2))
 
 
 def _csv_ints(text):
@@ -186,30 +178,8 @@ def _h_verify_wz(cfg):
     return _verify_out("W-character factorization", rep)
 
 
-def appendixA_report(max_size):
-    """Check both box-count bijections for every partition of size up to
-    max_size, ell in {2,3,4,5}, and every admissible residue."""
-    failures = []
-    checked = 0
-    by_size = [partitions.enumerate_partitions(n) for n in range(max_size + 1)]
-    for ell in (2, 3, 4, 5):
-        for mus in by_size:
-            for mu in mus:
-                n1_geq, n1_gt, n2_geq = partitions.box_count_table(mu, ell)
-                for c in range(-ell + 1, ell):
-                    checked += 1
-                    g1, g2, gt = n1_geq[c % ell], n2_geq[c % ell], n1_gt[c % ell]
-                    want_gt = g2 - (mu.col if c == 0 else 0)
-                    if g1 != g2 or gt != want_gt:
-                        failures.append({"mu": mu.to_list(), "ell": ell,
-                                         "c": c, "n1_geq": g1, "n2_geq": g2,
-                                         "n1_gt": gt})
-    return {"equal": not failures, "checked": checked,
-            "failures": failures[:10]}
-
-
 def _h_verify_appendixA(cfg):
-    rep = appendixA_report(cfg.max_order)
+    rep = partitions.appendixA_report(cfg.max_order)
     return _verify_out("box-count bijections", rep)
 
 
@@ -220,17 +190,8 @@ def _h_verify_appendixB(cfg):
     return _verify_out("off-diagonal rearrangement chain", rep)
 
 
-def lemma32_report(n_max):
-    checks = []
-    for ell in (2, 3, 4):
-        for a in range(ell):
-            rep = closed_form.verify_partition_identity(a, ell, n_max)
-            checks.append(dict(rep, a=a, ell=ell))
-    return {"equal": all(c["equal"] for c in checks), "checks": checks}
-
-
 def _h_verify_lemma32(cfg):
-    rep = lemma32_report(cfg.max_order)
+    rep = closed_form.lemma32_report(cfg.max_order)
     return _verify_out("colored partition-sum identity", rep)
 
 
@@ -374,164 +335,8 @@ def _h_verma(cfg):
         cfg.size, cfg.max_order, cfg.v_cap))
 
 
-def _load_golden(name):
-    try:
-        path = resources.files("laumon").joinpath("golden").joinpath(name)
-        return json.loads(path.read_text())
-    except (FileNotFoundError, OSError, ValueError):
-        return None
-
-
-def golden_names():
-    out = [("zr_" + "_".join(str(x) for x in r) + ".json", ("zr", r))
-           for r in ACCEPTANCE_RANKS]
-    out += [("verma_%d.json" % n, ("verma", n)) for n in (2, 3)]
-    return out
-
-
-def run_acceptance():
-    """Run the whole acceptance grid; returns a list of result records."""
-    results = []
-
-    def add(name, passed, detail):
-        results.append({"criterion": name, "passed": bool(passed),
-                        "detail": detail})
-
-    closed_cache = {}
-    bad = []
-    for r in ACCEPTANCE_RANKS:
-        closed_cache[r] = closed_form.theorem_Z(r, 4)
-        if localization.brute_force_Z(r, 4) != closed_cache[r]:
-            bad.append(str(list(r)))
-    add("1 product form vs localization", not bad,
-        "ranks %s at order 4%s" % (
-            [list(r) for r in ACCEPTANCE_RANKS],
-            "" if not bad else "; mismatch at " + ", ".join(bad)))
-
-    z = sorted(closed_cache[(1, 1)].terms.items())
-    spot1 = {m[0]: c for m, c in z if m[1:] == (1, 1)}
-    spot2 = {m[0]: c for m, c in z if m[1:] == (2, 0)}
-    ok2 = spot1 == {0: 1, 2: 2} and spot2 == {0: 1}
-    add("2 spot coefficients of Z_(1,1)", ok2,
-        "q0*q1 -> %s (want {0:1, 2:2}), q0^2 -> %s (want {0:1})"
-        % (spot1, spot2))
-
-    bad = [str(list(r)) for r in ACCEPTANCE_RANKS
-           if closed_form.theorem_Z_u(r, 4) != closed_cache[r]]
-    add("3 u-variable product form", not bad,
-        "same grid" + ("" if not bad else "; mismatch at " + ", ".join(bad)))
-
-    ok4 = True
-    details = []
-    for m, s in ACCEPTANCE_BLOCKS:
-        b = characters.BlockData(m, s)
-        rep = characters.verify_WZ(b, 4)
-        if not rep["equal"]:
-            ok4 = False
-            details.append("m=%s s=%s" % (list(m), list(s)))
-    b1 = characters.BlockData((2,), (1,))
-    no_b_factors = not any(
-        characters.b_character_factors(b1, i, j)
-        for i in range(1, b1.L + 1) for j in range(i + 1, b1.L + 1))
-    reduces = (characters.w_refined_verma(b1, 4)
-               == closed_form.theorem_Z((1, 1), 4))
-    if not (no_b_factors and reduces):
-        ok4 = False
-        details.append("L=1 reduction")
-    add("4 W-character factorization", ok4,
-        "4 block shapes at order 4, with localization cross-check"
-        + ("" if ok4 else "; failed: " + ", ".join(details)))
-
-    ok5 = True
-    ok9 = True
-    fp_total = 0
-    for r in ACCEPTANCE_RANKS:
-        inv_by_occ = {}
-        for occ, w, terms, inv, w_tangent in localization.fixed_point_data(
-                r, (fp for total in range(5)
-                    for fp in localization.fixed_points_of_size(r, total))):
-            fp_total += 1
-            if w != w_tangent:
-                ok5 = False
-            if terms != 2 * sum(r) * sum(occ) or w < 0:
-                ok9 = False
-            inv_by_occ.setdefault(occ, set()).add(inv)
-        if any(len(v) != 1 for v in inv_by_occ.values()):
-            ok9 = False
-    add("5 Morse formula vs weight count", ok5,
-        "%d fixed points, totals <= 4, criterion-1 ranks" % fp_total)
-
-    repA = appendixA_report(12)
-    add("6 box-count bijections", repA["equal"],
-        "%d partition/residue cases, sizes <= 12, ell in {2,3,4,5}"
-        % repA["checked"])
-
-    bad = []
-    for r in ACCEPTANCE_APPB:
-        if not closed_form.verify_appendixB(r, 4)["equal"]:
-            bad.append(str(list(r)))
-    add("7 off-diagonal rearrangement chain", not bad,
-        "ranks %s at order 4"
-        % [list(r) for r in ACCEPTANCE_APPB]
-        + ("" if not bad else "; failed at " + ", ".join(bad)))
-
-    rep8 = lemma32_report(6)
-    add("8 colored partition-sum identity", rep8["equal"],
-        "all residues, ell in {2,3,4}, X-degree 6")
-
-    add("9 tangent geometry invariants", ok9,
-        "raw counts, invariant-count constancy, index positivity "
-        "on the criterion-5 grid")
-
-    rng = random.Random(20260823)
-    ok_a = True
-    ok_b = True
-    pairs_checked = 0
-    for _ in range(50):
-        big_l = rng.randint(1, 4)
-        m = tuple(rng.randint(1, 3) for _ in range(big_l))
-        s = tuple(sorted(rng.sample(range(1, 7), big_l)))
-        b = characters.BlockData(m, s)
-        if characters.spin_total_dimension(
-                characters.spin_decomposition(b)) != b.N ** 2:
-            ok_a = False
-        for p in characters.free_field_counts(b)["pairs"]:
-            i, j = p["i"], p["j"]
-            si, sj = s[i - 1], s[j - 1]
-            mm = m[i - 1] * m[j - 1]
-            if si % 2 == 1 and sj % 2 == 1:
-                pairs_checked += 1
-                if (p["direct"]["fermions"] - p["iterated"]["fermions"]
-                        != 2 * mm * (sj - si)):
-                    ok_b = False
-                if p["direct"]["betagamma"] or p["iterated"]["betagamma"]:
-                    ok_b = False
-    add("10a spin decomposition dimension", ok_a, "50 random block shapes")
-    add("10b free-field count difference", ok_b,
-        "%d odd-parity pairs among the same shapes" % pairs_checked)
-
-    # the golden fixtures' denominators, shared with 10c
-    verma = {(n, 4, 4): characters.affine_verma_denominator(n, 4, 4)
-             for n in (2, 3)}
-    ok_c = all(characters.verify_verma_vs_X1(*t, verma.get(t))["equal"]
-               for t in ACCEPTANCE_VERMA)
-    add("10c Verma denominator vs single-block character", ok_c,
-        "(N, z-degree, v-cap) in %s, both directions"
-        % ", ".join("(%d,%d,%d)" % t for t in ACCEPTANCE_VERMA))
-
-    for name, (kind, arg) in golden_names():
-        want = _load_golden(name)
-        got = closed_cache[arg] if kind == "zr" else verma[(arg, 4, 4)]
-        passed = want is not None and series.from_json_dict(want) == got
-        add("golden %s" % name, passed,
-            "fixture match" if passed else
-            ("fixture missing" if want is None else "fixture differs"))
-
-    return results
-
-
 def _h_acceptance(cfg):
-    results = run_acceptance()
+    results = acceptance.run()
     all_passed = all(r["passed"] for r in results)
     payload = {"results": results, "all_passed": all_passed}
 

@@ -96,15 +96,24 @@ def theorem_Z_u(r, n_max):
     for a in range(ell):
         for t in range(1, r[a] + 1):
             factors.append((-2 * t, ones))
-    for a in range(1, ell + 1):
+    factors += _u_pair_factors(r, ell)
+    return expand(space, qtilde_families(space, r, factors))
+
+
+def _u_pair_factors(r, top):
+    """theorem_Z_u's pair families of every a < c <= top."""
+    ell = len(r)
+    ones = [1] * ell
+    factors = []
+    for a in range(1, top + 1):
         ua = u_exponents(ell, a)
-        for c in range(a + 1, ell + 1):
+        for c in range(a + 1, top + 1):
             uc = u_exponents(ell, c)
             for t in range(1, r[ell - c] + 1):
                 factors.append((-2 * t, _add(ones, ua, _neg(uc))))
             for t in range(1, r[ell - a] + 1):
                 factors.append((-2 * t, _add(_neg(ua), uc)))
-    return expand(space, qtilde_families(space, r, factors))
+    return factors
 
 
 def verify_theorem_Z(r, n_max, brute=None):
@@ -139,6 +148,16 @@ def verify_partition_identity(a, ell, n_max):
     return series_diff_report(lhs, rhs)
 
 
+def lemma32_report(n_max):
+    """verify_partition_identity for every residue a, ell in {2,3,4}."""
+    checks = []
+    for ell in (2, 3, 4):
+        for a in range(ell):
+            rep = verify_partition_identity(a, ell, n_max)
+            checks.append(dict(rep, a=a, ell=ell))
+    return {"equal": all(c["equal"] for c in checks), "checks": checks}
+
+
 def _appendixB_lhs_factors(r):
     ell = len(r)
     factors = []
@@ -165,21 +184,6 @@ def _appendixB_split_factors(r):
     return factors
 
 
-def _appendixB_u_factors(r):
-    ell = len(r)
-    ones = [1] * ell
-    factors = []
-    for a in range(1, ell):
-        ua = u_exponents(ell, a)
-        for c in range(a + 1, ell):
-            uc = u_exponents(ell, c)
-            for t in range(1, r[ell - c] + 1):
-                factors.append((-2 * t, _add(ones, ua, _neg(uc))))
-            for t in range(1, r[ell - a] + 1):
-                factors.append((-2 * t, _add(_neg(ua), uc)))
-    return factors
-
-
 def verify_appendixB(r, n_max):
     """Check the rearrangement chain for the off-diagonal factor block.
 
@@ -193,7 +197,7 @@ def verify_appendixB(r, n_max):
     r = check_ranks(r)
     forms = {"raw": _appendixB_lhs_factors(r),
              "split": _appendixB_split_factors(r),
-             "u": _appendixB_u_factors(r)}
+             "u": _u_pair_factors(r, len(r) - 1)}
     if not any(forms.values()):
         raise ValueError("ranks %s have no off-diagonal factors to compare"
                          % (list(r),))

@@ -64,9 +64,6 @@ class FixedPoint:
         self.mus = tuple(mu if isinstance(mu, Partition) else Partition(mu)
                          for mu in mus)
 
-    def total_size(self):
-        return sum(mu.size for mu in self.mus)
-
     def occupation(self, r):
         """Combined per-color box counts of all components."""
         ell = len(r)

@@ -51,12 +51,6 @@ class Partition:
     def to_list(self):
         return list(self.rows)
 
-    def __iter__(self):
-        return iter(self.rows)
-
-    def __len__(self):
-        return len(self.rows)
-
     def __eq__(self, other):
         return isinstance(other, Partition) and self.rows == other.rows
 
@@ -136,6 +130,28 @@ def box_count_table(mu, ell):
             if h > j:
                 n1_gt[(h - j) % ell] += 1
     return n1_geq, n1_gt, n2_geq
+
+
+def appendixA_report(max_size):
+    """Check both box-count bijections for every partition of size up to
+    max_size, ell in {2,3,4,5}, and every admissible residue."""
+    failures = []
+    checked = 0
+    by_size = [enumerate_partitions(n) for n in range(max_size + 1)]
+    for ell in (2, 3, 4, 5):
+        for mus in by_size:
+            for mu in mus:
+                n1_geq, n1_gt, n2_geq = box_count_table(mu, ell)
+                for c in range(-ell + 1, ell):
+                    checked += 1
+                    g1, g2, gt = n1_geq[c % ell], n2_geq[c % ell], n1_gt[c % ell]
+                    want_gt = g2 - (mu.col if c == 0 else 0)
+                    if g1 != g2 or gt != want_gt:
+                        failures.append({"mu": mu.to_list(), "ell": ell,
+                                         "c": c, "n1_geq": g1, "n2_geq": g2,
+                                         "n1_gt": gt})
+    return {"equal": not failures, "checked": checked,
+            "failures": failures[:10]}
 
 
 def partition_sum_lhs(a, ell, n_max):

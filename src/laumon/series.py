@@ -16,7 +16,6 @@ Pochhammer families are expanded by dividing by each factor (1 - m) in
 place, which only ever adds coefficients; no integer division occurs.
 """
 
-import json
 from collections.abc import Iterator
 from itertools import accumulate
 from json.encoder import encode_basestring_ascii
@@ -441,10 +440,6 @@ def from_json_dict(d):
     return Series.from_terms(sp, terms)
 
 
-def to_json(s, indent=None):
-    return json.dumps(to_json_dict(s), indent=indent)
-
-
 def _scalar(o):
     if isinstance(o, str):
         return encode_basestring_ascii(o)
@@ -547,10 +542,6 @@ def json_chunks(obj):
     None; any other type raises TypeError.  An iterator is written as a
     list of what it yields, drawing one element at a time."""
     return _chunks(obj, "\n")
-
-
-def from_json(text):
-    return from_json_dict(json.loads(text))
 
 
 def render_text(s):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from laumon import cli, localization, series
+from laumon import acceptance, cli, localization, series
 from laumon.closed_form import theorem_Z
 from laumon.series import from_json_dict, to_json_dict
 
@@ -272,14 +272,33 @@ def test_acceptance_all_pass(capsys):
     code, out, err = run_main(capsys, "acceptance", "--format", "text")
     assert code == 0
     assert out.rstrip().endswith("ALL PASS")
+    code, out, err = run_main(capsys, "acceptance")
+    payload = json.loads(out)
+    assert (code, payload["all_passed"]) == (0, True)
+    assert [r["criterion"] for r in payload["results"]] \
+        == [name for name, _ in acceptance.CRITERIA]
 
 
-def test_golden_names_cover_grid():
-    names = dict(cli.golden_names())
-    assert names["zr_2_2_1.json"] == ("zr", (2, 2, 1))
-    assert names["verma_3.json"] == ("verma", 3)
-    for name in names:
-        assert cli._load_golden(name) is not None
+def test_acceptance_reports_a_failing_row(capsys, monkeypatch):
+    name, _ = acceptance.CRITERIA[0]
+    monkeypatch.setattr(acceptance, "CRITERIA",
+                        ((name, lambda values: (False, "forced")),)
+                        + acceptance.CRITERIA[1:])
+    code, out, err = run_main(capsys, "acceptance")
+    payload = json.loads(out)
+    assert (code, payload["all_passed"]) == (1, False)
+    assert [r["passed"] for r in payload["results"]].count(False) == 1
+    code, out, err = run_main(capsys, "acceptance", "--format", "text")
+    assert code == 1
+    assert out.rstrip().endswith("FAILURES: 1")
+
+
+def test_golden_fixtures_load():
+    assert [name for name, _ in acceptance.CRITERIA
+            if name.startswith("golden ")] \
+        == ["golden " + name for name, _, _ in acceptance.GOLDEN]
+    for name, _, _ in acceptance.GOLDEN:
+        assert acceptance.load_golden(name) is not None, name
 
 
 @settings(max_examples=15)

@@ -1,10 +1,12 @@
 import itertools
+import json
 import random
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from laumon import acceptance
 from laumon.localization import (FixedPoint, _compositions, brute_force_Z,
                                  check_ranks, enumerate_fixed_points,
                                  fixed_point_data, fixed_point_morse_index,
@@ -13,7 +15,7 @@ from laumon.localization import (FixedPoint, _compositions, brute_force_Z,
                                  morse_index_oracle, poincare_polynomial,
                                  sector_index, tangent_character, tangent_count)
 from laumon.partitions import Partition, enumerate_partitions
-from laumon.series import Series, canonical_space, to_json
+from laumon.series import Series, canonical_space, to_json_dict
 
 
 def mus_of(fp):
@@ -209,7 +211,8 @@ def test_brute_force_Z_matches_tuple_enumeration():
         for n_max in range(6):
             z = brute_force_Z(r, n_max)
             assert z == ref.truncate(n_max), (r, n_max)
-            assert to_json(z) == to_json(ref.truncate(n_max))
+            assert (json.dumps(to_json_dict(z))
+                    == json.dumps(to_json_dict(ref.truncate(n_max))))
 
 
 def test_occupation_roundtrip():
@@ -223,10 +226,18 @@ def test_occupation_roundtrip():
             assert fp in enumerate_fixed_points(r, n)
 
 
+def at_acceptance_ranks(test):
+    """Each acceptance rank vector at top 4 as an explicit example."""
+    for r in acceptance.RANKS:
+        test = example(list(r), 4)(test)
+    return test
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.integers(0, 2), min_size=2, max_size=4)
        .filter(lambda v: sum(v) > 0), st.integers(0, 4))
 @example([2, 2, 2, 2], 4)
+@at_acceptance_ranks
 def test_fixed_point_data_matches_per_fixed_point(r, top):
     """The shared-pair computation gives, for every fixed point of total
     size <= top, exactly what the per-fixed-point functions give."""

@@ -106,14 +106,20 @@ def test_box_residue_counts_range_check():
 
 
 def test_count_bijections_small_grid():
-    # the full grid lives in the acceptance suite; spot a small slice here
-    for ell in (2, 3):
-        for n in range(7):
+    """On the sweep of `verify-appendixA` at its default, sizes <= 12 and
+    ell in {2,3,4,5}: box_count_table equals the count_* definitions, and
+    these satisfy both box-count bijections."""
+    for ell in (2, 3, 4, 5):
+        for n in range(13):
             for mu in enumerate_partitions(n):
+                table = box_count_table(mu, ell)
                 for c in range(-ell + 1, ell):
-                    assert count_N1_geq(mu, c, ell) == count_N2_geq(mu, c, ell)
-                    drop = mu.col if c == 0 else 0
-                    assert count_N1_gt(mu, c, ell) == count_N2_geq(mu, c, ell) - drop
+                    g1 = count_N1_geq(mu, c, ell)
+                    gt = count_N1_gt(mu, c, ell)
+                    g2 = count_N2_geq(mu, c, ell)
+                    assert [t[c % ell] for t in table] == [g1, gt, g2]
+                    assert g1 == g2
+                    assert gt == g2 - (mu.col if c == 0 else 0)
 
 
 @given(st.integers(0, 20).flatmap(lambda n: st.sampled_from(enumerate_partitions(n))),

@@ -9,10 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from laumon.series import (Series, SeriesError, VariableSpace, canonical_space,
-                           expand, from_json, from_json_dict,
-                           geometric_inverse, json_chunks, pochhammer_inverse,
-                           render_text, series_diff_report, substitute,
-                           to_json, to_json_dict)
+                           expand, from_json_dict, geometric_inverse,
+                           json_chunks, pochhammer_inverse, render_text,
+                           series_diff_report, substitute, to_json_dict)
 
 
 def space2(trunc=4):
@@ -171,7 +170,7 @@ def test_expand_commutes_with_truncation(case, k):
 @given(families())
 def test_expand_json_round_trip(case):
     s = expand(*case)
-    assert from_json(to_json(s)) == s
+    assert from_json_dict(json.loads(json.dumps(to_json_dict(s)))) == s
 
 
 def test_expand_rejects_caps_and_degree_below_one():
@@ -334,7 +333,6 @@ def test_json_round_trip():
         d = to_json_dict(s)
         assert all(isinstance(t["coeff"], str) for t in d["terms"])
         assert from_json_dict(json.loads(json.dumps(d))) == s
-    assert from_json(to_json(s)) == s
 
 
 def test_json_keeps_caps():
