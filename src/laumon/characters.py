@@ -310,23 +310,26 @@ def _expand_zv(N, n_max, v_cap, factors):
 
     The (z, v) exponents of every factor have v exponents summing to 0, and
     on that lattice the map of `_zv_families` is injective: q0 reads z, and
-    q_{N-k} reads z - (v_1 + .. + v_k).  A monomial of the window has image
-    degree at most W = N n_max + v_cap floor(N^2/4), so one expansion at W,
-    pulled back and cropped to the window, is exact.
+    q_{N-k} reads z - (v_1 + .. + v_k).  On the window q0 <= n_max, and
+    q_{N-k} <= n_max + v_cap min(k, N-k), as the v's sum to 0.  No family
+    lowers a q exponent, so one expansion bounded by that box (of degree at
+    most W = N n_max + v_cap floor(N^2/4)), pulled back and cropped to the
+    window, is exact.
     """
     window = verma_space(N, n_max, v_cap)
     space = canonical_space(N, N * n_max + v_cap * (N * N // 4))
+    bounds = {"q0": n_max}
+    bounds.update(("q%d" % (N - k), n_max + v_cap * min(k, N - k))
+                  for k in range(1, N))
     terms = {}
-    for m, c in expand(space, _zv_families(space, factors)).terms.items():
+    for m, c in expand(space, _zv_families(space, factors), bounds).terms.items():
         z = m[1]
-        if z > n_max:
-            continue
         sums = [0] + [z - e for e in reversed(m[2:])] + [0]    # v_1 + .. + v_k
         v = tuple(map(sub, sums[1:], sums[:-1]))
-        # cropped here, as most wide terms lie outside the window
         if max(map(abs, v)) <= v_cap:
             terms[(z,) + v] = c
-    return Series.from_terms(window, terms)
+    # z <= n_max by the bound on q0, and every coefficient is positive
+    return Series(window, terms)
 
 
 def affine_verma_factors(N):

@@ -12,7 +12,6 @@ Exit codes: 0 success or verified equality, 1 verification discrepancy,
 import argparse
 import contextlib
 import functools
-import itertools
 import json
 import shutil
 import sys
@@ -200,9 +199,8 @@ def _h_fixed_points(cfg):
     _warn_ranks(r)
     n = localization.check_occupation(cfg.n, len(r))
     fps = localization.enumerate_fixed_points(r, n)
-    entries = [{"mus": [mu.to_list() for mu in fp.mus],
-                "morse": localization.fixed_point_morse_index(fp, r)}
-               for fp in fps]
+    entries = [{"mus": [mu.to_list() for mu in fp.mus], "morse": w}
+               for fp, w in zip(fps, localization.morse_indices(r, fps))]
     payload = {"r": list(r), "n": list(n), "fixed_points": entries}
 
     def text():
@@ -394,17 +392,21 @@ _HANDLERS = {name: h for name, (_, _, h) in COMMANDS.items()}
 
 def run(cfg):
     code, payload, text = _HANDLERS[cfg.command](cfg)
-    if cfg.format == "json":
-        # written in batches of 256 chunks, each about one series term or
-        # one container of scalars: the whole string would set peak memory
-        chunks = series.json_chunks(payload)
-    else:
-        chunks = iter((text(),))
+    # json is written in batches of about 16 KiB, each chunk one series
+    # term, one iterator element or one subtree holding neither: the whole
+    # string would set peak memory
+    chunks = series.json_chunks(payload) if cfg.format == "json" else (text(),)
     with (open(cfg.out, "w") if cfg.out
           else contextlib.nullcontext(sys.stdout)) as fh:
-        for batch in iter(lambda: "".join(itertools.islice(chunks, 256)), ""):
-            fh.write(batch)
-        fh.write("\n")
+        batch, size = [], 0
+        for chunk in chunks:
+            batch.append(chunk)
+            size += len(chunk)
+            if size >= 16384:
+                fh.write("".join(batch))
+                batch, size = [], 0
+        batch.append("\n")
+        fh.write("".join(batch))
     return code
 
 

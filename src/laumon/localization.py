@@ -267,12 +267,30 @@ def morse_index_oracle(fp, r):
     return morse_index_from_tangent(tangent_character(fp, r), len(r))
 
 
+def morse_indices(r, fps):
+    """fixed_point_morse_index of each fixed point of the iterable `fps`.
+
+    The index is a sum of one term per component, which fixed points
+    share, so within one call each distinct (mu, beta) is computed once.
+    """
+    terms = {}
+    out = []
+    for fp in fps:
+        w = 0
+        for beta, mu in enumerate(fp.mus, start=1):
+            key = (mu.rows, beta)
+            if key not in terms:
+                terms[key] = morse_index_formula(mu, beta, r)
+            w += terms[key]
+        out.append(w)
+    return out
+
+
 def poincare_polynomial(r, n):
     """Map from y-exponent 2w to the number-of-fixed-points weight count."""
     out = {}
-    for fp in enumerate_fixed_points(r, n):
-        e = 2 * fixed_point_morse_index(fp, r)
-        out[e] = out.get(e, 0) + 1
+    for w in morse_indices(r, enumerate_fixed_points(r, n)):
+        out[2 * w] = out.get(2 * w, 0) + 1
     return dict(sorted(out.items()))
 
 

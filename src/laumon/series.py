@@ -14,12 +14,16 @@ mixed-radix integer, so a monomial product is one integer addition; tuples
 come back only in the result's terms.  Products of inverse
 Pochhammer families are expanded by dividing by each factor (1 - m) in
 place, which only ever adds coefficients; no integer division occurs.
+`expand` also takes upper bounds on the exponents of variables that no
+family lowers, and then drops each term as soon as it leaves that box,
+which is exact because those exponents only grow; a bounded digit carries
+a guard bit, so the test is one AND on the packed key.
 """
 
 from collections.abc import Iterator
-from itertools import accumulate
+from itertools import accumulate, repeat
 from json.encoder import encode_basestring_ascii
-from operator import add, itemgetter, mul
+from operator import add, itemgetter
 
 
 class SeriesError(Exception):
@@ -108,19 +112,27 @@ class _Packing:
     """Kronecker (mixed-radix) integer keys for exponent tuples whose i-th
     entry lies in lo[i] .. hi[i].
 
-    The key of m with offsets o is sum (m_i - o_i) * w_i, with w_0 = 1 and
-    w_{i+1} = w_i * (hi_i - lo_i + 1).  With offsets lo every digit fits its
-    radix, so no carry crosses digits and unpack() reads m back.  Keys add:
+    The key of m with offsets o is sum (m_i - o_i) * w_i.  The digits are
+    laid out in `order` (by default the variable order): the first has
+    weight 1, and each next weight is the last one times its radix
+    hi - lo + 1.  With offsets lo every digit fits its radix, so no carry
+    crosses digits and unpack() reads m back.  Keys add:
     key(m1, o1) + key(m2, o2) = key(m1 + m2, o1 + o2), so a monomial product
     is one integer addition as long as the product lies in range.
     """
 
-    __slots__ = ("lo", "radix", "weights")
+    __slots__ = ("lo", "radix", "weights", "order")
 
-    def __init__(self, lo, hi):
+    def __init__(self, lo, hi, order=None):
         self.lo = lo
         self.radix = tuple(h - l + 1 for l, h in zip(lo, hi))
-        self.weights = (1,) + tuple(accumulate(self.radix[:-1], mul))
+        self.order = tuple(range(len(lo)) if order is None else order)
+        weights = [0] * len(lo)
+        w = 1
+        for i in self.order:
+            weights[i] = w
+            w *= self.radix[i]
+        self.weights = tuple(weights)
 
     def pack(self, monos, offsets):
         """The key of each exponent tuple in a collection."""
@@ -131,9 +143,10 @@ class _Packing:
 
     def unpack(self, keys):
         """The exponent tuple of each key (a collection), with offsets lo."""
-        cols = []
-        for o, r in zip(self.lo, self.radix):
-            cols.append([k % r + o for k in keys])
+        cols = [None] * len(self.lo)
+        for i in self.order:
+            o, r = self.lo[i], self.radix[i]
+            cols[i] = [k % r + o for k in keys]
             keys = [k // r for k in keys]
         return zip(*cols) if cols else [()] * len(keys)
 
@@ -327,7 +340,7 @@ def pochhammer_inverse(space, m, z):
     return out
 
 
-def expand(space, families):
+def expand(space, families, bounds=None):
     """Product over (base, step) families of prod_{k>=0} 1/(1 - base*step^k).
 
     Divides by one factor (1 - m) at a time, in place: the terms sit in
@@ -335,17 +348,33 @@ def expand(space, families):
     coefficient at x + m gains the coefficient at x, already divided.
     Truncation by graded degree is a ring map only without caps, so a
     capped space is refused; every base and step needs graded degree >= 1.
+
+    `bounds` maps variables to upper bounds on their exponents, and the
+    result is then the full expansion cropped to that box.  Every base and
+    step needs exponents >= 0 in a bounded variable, so that exponents only
+    grow along the division: a term past a bound is dropped as it appears,
+    and so is a factor past one.
     """
     if space.caps:
         raise SeriesError("expand: capped space")
     trunc = space.truncation
     unit = space.unit()
+    bounded = {}
+    for name, b in (bounds or {}).items():
+        if name not in space.index:
+            raise SeriesError("expand: bounded variable %r not in space" % (name,))
+        if not isinstance(b, int) or b < 0:
+            raise SeriesError("expand: bound must be a non-negative integer")
+        bounded[space.index[name]] = b
     fams = []
     for base, step in families:
         base, step = tuple(base), tuple(step)
         if space.gdeg(base) < 1 or space.gdeg(step) < 1:
             raise SeriesError("expand: family (%r, %r) of graded degree < 1"
                               % (base, step))
+        if any(base[i] < 0 or step[i] < 0 for i in bounded):
+            raise SeriesError("expand: family (%r, %r) lowers a bounded "
+                              "exponent" % (base, step))
         fams.append((base, step))
     # A factor monomial base + k*step has graded degree d >= k + 1, so its
     # i-th exponent is at most d * M_i in size, M_i the largest |base_i| or
@@ -354,20 +383,45 @@ def expand(space, families):
     bound = tuple(trunc * max((max(abs(b[i]), abs(s[i])) for b, s in fams),
                               default=0)
                   for i in range(len(unit)))
-    keys = _Packing(tuple(-x for x in bound), bound)
+    lo, hi = [-x for x in bound], list(bound)
+    for i, b in bounded.items():
+        # the digits of bounded variables come first, each 2^(k+1) wide with
+        # 2^k > b and biased so that exponent b + 1 sets its top bit; a
+        # factor adds at most b, so the digit stays below 2^(k+1)
+        k = b.bit_length()
+        lo[i] = b + 1 - (1 << k)
+        hi[i] = lo[i] + (2 << k) - 1
+    keys = _Packing(tuple(lo), tuple(hi), sorted(bounded) + [
+        i for i in range(len(unit)) if i not in bounded])
+    # the top bit of every bounded digit: a key in the box has none set
+    guard = sum(keys.weights[i] << b.bit_length() for i, b in bounded.items())
     buckets = [{} for _ in range(trunc + 1)]
     buckets[0][keys.pack([unit], keys.lo)[0]] = 1
     for base, step in fams:
         # balanced-digit keys (offsets 0): adding one multiplies by it
         m, dm = keys.pack([base, step], unit)
         d, dd = space.gdeg(base), space.gdeg(step)
-        while d <= trunc:
+        count = (trunc - d) // dd + 1
+        for i, b in bounded.items():
+            if step[i]:
+                count = min(count, (b - base[i]) // step[i] + 1)
+            elif base[i] > b:
+                count = 0
+        for _ in range(count):
             for deg in range(trunc - d + 1):
                 dst = buckets[deg + d]
                 get = dst.get
-                for x, c in buckets[deg].items():
-                    x += m
-                    dst[x] = get(x, 0) + c
+                # unbounded products skip the test: on keys of several
+                # machine words an AND per term is not free
+                if guard:
+                    for x, c in buckets[deg].items():
+                        x += m
+                        if not x & guard:
+                            dst[x] = get(x, 0) + c
+                else:
+                    for x, c in buckets[deg].items():
+                        x += m
+                        dst[x] = get(x, 0) + c
             m += dm
             d += dd
     terms = {}
@@ -440,18 +494,8 @@ def from_json_dict(d):
     return Series.from_terms(sp, terms)
 
 
-def _scalar(o):
-    if isinstance(o, str):
-        return encode_basestring_ascii(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    raise TypeError("cannot write %s as JSON" % type(o).__name__)
+class _Streamed(Exception):
+    """A Series or an iterator met by _plain: it is written in pieces."""
 
 
 def _key(k):
@@ -460,21 +504,51 @@ def _key(k):
     return encode_basestring_ascii(k) + ": "
 
 
-def _is_scalar(o):
-    return o is None or isinstance(o, (str, int))
+# writers of exactly these types; subclasses take the isinstance tests
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: lambda o: "true" if o else "false",
+    type(None): lambda o: "null",
+}
 
 
-def _flat(o, nl):
-    """A container of scalars, whole, starting at indentation nl."""
-    inner = nl + "  "
+def _plain(o, nl):
+    """The text of a subtree starting at indentation nl, in one pass;
+    raises _Streamed at the first Series or iterator in it."""
+    write = _SCALARS.get(type(o))
+    if write is not None:
+        return write(o)
     if isinstance(o, dict):
-        if not o:
-            return "{}"
-        return "{%s%s}" % (",".join(inner + _key(k) + _scalar(v)
-                                    for k, v in o.items()), nl)
+        return _plain_dict(o, nl)
+    if isinstance(o, (list, tuple)):
+        return _plain_list(o, nl)
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, (Series, Iterator)):
+        raise _Streamed
+    raise TypeError("cannot write %s as JSON" % type(o).__name__)
+
+
+def _plain_dict(o, nl):
+    if not o:
+        return "{}"
+    inner = nl + "  "
+    get = _SCALARS.get
+    return "{%s%s%s}" % (inner, ("," + inner).join([
+        _key(k) + (w(v) if (w := get(type(v))) else _plain(v, inner))
+        for k, v in o.items()]), nl)
+
+
+def _plain_list(o, nl):
     if not o:
         return "[]"
-    return "[%s%s]" % (",".join(inner + _scalar(v) for v in o), nl)
+    inner = nl + "  "
+    get = _SCALARS.get
+    return "[%s%s%s]" % (inner, ("," + inner).join([
+        w(v) if (w := get(type(v))) else _plain(v, inner) for v in o]), nl)
 
 
 def _series_chunks(s, nl):
@@ -482,10 +556,11 @@ def _series_chunks(s, nl):
     i1 = nl + "  "
     i2, i3 = i1 + "  ", i1 + "    "
     head = '{%s"variables": %s,%s"grading": %s,%s"truncation": %d' % (
-        i1, _flat(sp.names, i1), i1, _flat(sp.grading, i1), i1, sp.truncation)
+        i1, _plain_list(sp.names, i1), i1, _plain_list(sp.grading, i1), i1,
+        sp.truncation)
     if sp.caps:
         caps = {n: sp.caps[n] for n in sp.names if n in sp.caps}
-        head += ',%s"caps": %s' % (i1, _flat(caps, i1))
+        head += ',%s"caps": %s' % (i1, _plain_dict(caps, i1))
     terms = s.terms
     if not terms:
         yield head + ',%s"terms": []%s}' % (i1, nl)
@@ -504,43 +579,40 @@ def _series_chunks(s, nl):
 
 
 def _chunks(o, nl):
+    try:
+        text = _plain(o, nl)
+    except _Streamed:
+        pass
+    else:
+        yield text
+        return
     if isinstance(o, Series):
         yield from _series_chunks(o, nl)
         return
-    if isinstance(o, Iterator):
-        # drawn one element at a time, so only one is alive; the bytes are
-        # those of a list of the same elements
-        sep = "["
-        for v in o:
-            yield sep + nl + "  "
-            yield from _chunks(v, nl + "  ")
-            sep = ","
-        yield "[]" if sep == "[" else nl + "]"
-        return
-    is_dict = isinstance(o, dict)
-    if not (is_dict or isinstance(o, (list, tuple))):
-        yield _scalar(o)
-        return
-    values = o.values() if is_dict else o
-    if all(map(_is_scalar, values)):
-        yield _flat(o, nl)
-        return
     inner = nl + "  "
-    heads = [inner + _key(k) for k in o] if is_dict else [inner] * len(o)
-    sep = "{" if is_dict else "["
+    if isinstance(o, dict):
+        heads, values, brackets = [inner + _key(k) for k in o], o.values(), "{}"
+    elif isinstance(o, (list, tuple)):
+        heads, values, brackets = [inner] * len(o), o, "[]"
+    else:
+        # an iterator, drawn one element at a time, so only one is alive;
+        # the bytes are those of a list of the same elements
+        heads, values, brackets = repeat(inner), o, "[]"
+    sep = brackets[0]
     for head, v in zip(heads, values):
         yield sep + head
         yield from _chunks(v, inner)
         sep = ","
-    yield nl + ("}" if is_dict else "]")
+    yield brackets if sep == brackets[0] else nl + brackets[1]
 
 
 def json_chunks(obj):
     """The text of json.dumps(obj, indent=2, default=to_json_dict), in
-    pieces: one per Series term and one per container of scalars.  Values
-    may be dicts with str keys, lists, tuples, Series, str, int, bool and
-    None; any other type raises TypeError.  An iterator is written as a
-    list of what it yields, drawing one element at a time."""
+    pieces: one per Series term, one per element of an iterator, and one
+    per subtree holding neither, written in one pass.  Values may be dicts
+    with str keys, lists, tuples, Series, str, int, bool and None; any
+    other type raises TypeError.  An iterator is written as a list of what
+    it yields, drawing one element at a time."""
     return _chunks(obj, "\n")
 
 

@@ -246,6 +246,18 @@ def test_affine_verma_denominator_crop_stable(N, n_max, v_cap):
             == ch.affine_verma_denominator(N, n_max, v_cap))
 
 
+def test_verify_verma_vs_X1_at_four_variables():
+    rep = ch.verify_verma_vs_X1(4, 4, 4)
+    assert rep["equal"], rep
+    assert all(c["coefficients"] > 0 for c in rep["checks"])
+
+
+def test_affine_verma_denominator_crop_stable_at_four_variables():
+    wider = ch.affine_verma_denominator(4, 4, 6)
+    assert (Series.from_terms(ch.verma_space(4, 4, 4), wider.terms)
+            == ch.affine_verma_denominator(4, 4, 4))
+
+
 def test_render_factor():
     f = ch.UZFactor(-2, 1, (1, -1, 0))
     assert ch.render_factor(f) == "(y^-2*z*u1*u2^-1)_inf^-1"

@@ -144,6 +144,17 @@ def test_morse_poincare_matches_library(capsys):
         (str(e), c) for e, c in want.items()]
 
 
+def test_fixed_points_payload_matches_per_fixed_point(capsys):
+    code, out, err = run_main(capsys, "fixed-points", "--ranks", "2,2,1",
+                              "--n", "2,2,2")
+    assert code == 0
+    r = (2, 2, 1)
+    fps = localization.enumerate_fixed_points(r, (2, 2, 2))
+    assert json.loads(out)["fixed_points"] == [
+        {"mus": [mu.to_list() for mu in fp.mus],
+         "morse": localization.fixed_point_morse_index(fp, r)} for fp in fps]
+
+
 def test_tangent_counts(capsys):
     code, out, err = run_main(capsys, "tangent", "--ranks", "1,1", "--n", "1,1")
     assert code == 0

@@ -12,7 +12,8 @@ from laumon.localization import (FixedPoint, _compositions, brute_force_Z,
                                  fixed_point_data, fixed_point_morse_index,
                                  fixed_points_of_size, invariant_part,
                                  morse_index_formula, morse_index_from_tangent,
-                                 morse_index_oracle, poincare_polynomial,
+                                 morse_index_oracle, morse_indices,
+                                 poincare_polynomial,
                                  sector_index, tangent_character, tangent_count)
 from laumon.partitions import Partition, enumerate_partitions
 from laumon.series import Series, canonical_space, to_json_dict
@@ -177,6 +178,18 @@ def test_poincare_polynomial():
     p = poincare_polynomial((2, 1), (2, 1))
     assert all(e >= 0 and e % 2 == 0 and c > 0 for e, c in p.items())
     assert sum(p.values()) == len(enumerate_fixed_points((2, 1), (2, 1)))
+
+
+@pytest.mark.parametrize("r, n", [((2, 2, 1), (2, 2, 2)), ((2, 1), (3, 3)),
+                                  ((1, 1, 1, 1), (1, 2, 1, 1))])
+def test_morse_indices_match_per_fixed_point(r, n):
+    fps = enumerate_fixed_points(r, n)
+    want = [fixed_point_morse_index(fp, r) for fp in fps]
+    assert morse_indices(r, fps) == want
+    counts = {}
+    for w in want:
+        counts[2 * w] = counts.get(2 * w, 0) + 1
+    assert list(poincare_polynomial(r, n).items()) == sorted(counts.items())
 
 
 def test_brute_force_Z_small():

@@ -3,9 +3,10 @@ serialization."""
 
 import json
 import random
+from collections import namedtuple
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from laumon.series import (Series, SeriesError, VariableSpace, canonical_space,
@@ -184,6 +185,60 @@ def test_expand_rejects_caps_and_degree_below_one():
                        (sp.mono(q0=1), sp.mono(q0=1, q1=-1))):
         with pytest.raises(SeriesError):
             expand(sp, [(base, step)])
+
+
+@st.composite
+def bounded_families(draw):
+    """A canonical space with 2-4 q-variables at order <= 6, bounds on some
+    of its variables (y included), and up to three (base, step) families
+    of q-degree >= 1 with exponents >= 0 in every bounded variable."""
+    ell = draw(st.integers(2, 4))
+    space = canonical_space(ell, draw(st.integers(0, 6)))
+    bounded = draw(st.sets(st.sampled_from(space.names), min_size=1))
+    bounds = {n: draw(st.integers(0, 9)) for n in sorted(bounded)}
+
+    def mono():
+        return draw(st.tuples(*(st.integers(0, 2) if n in bounded
+                                else st.integers(-1, 2) for n in space.names))
+                    .filter(lambda m: space.gdeg(m) >= 1))
+
+    return space, bounds, [(mono(), mono())
+                           for _ in range(draw(st.integers(0, 3)))]
+
+
+@settings(max_examples=100)
+@given(bounded_families())
+# q0 reaches 8 = 2^3 beside a bound of 7, and exactly a bound of 4 = 2^2
+@example((canonical_space(2, 6), {"q0": 7},
+          [((0, 2, -1), (0, 2, 0)), ((0, 0, 1), (0, 1, 0))]))
+@example((canonical_space(2, 4), {"q0": 4, "q1": 0, "y": 0},
+          [((0, 1, 0), (0, 1, 0)), ((0, 2, 0), (0, 4, 0))]))
+def test_bounded_expand_is_the_cropped_expansion(case):
+    space, bounds, fams = case
+    box = [(space.index[n], b) for n, b in bounds.items()]
+    full = expand(space, fams)
+    assert expand(space, fams, bounds) == Series.from_terms(space, {
+        m: c for m, c in full.terms.items() if all(m[i] <= b for i, b in box)})
+
+
+@settings(max_examples=60)
+@given(families(), st.data())
+def test_bounded_expand_rejects_a_lowered_exponent(case, data):
+    space, fams = case
+    lowered = sorted({n for base, step in fams for n, b, s in
+                      zip(space.names, base, step) if b < 0 or s < 0})
+    assume(lowered)
+    name = data.draw(st.sampled_from(lowered))
+    with pytest.raises(SeriesError):
+        expand(space, fams, {name: data.draw(st.integers(0, 9))})
+
+
+def test_bounded_expand_rejects_bad_bounds():
+    sp = space2(4)
+    fams = [(sp.mono(q0=1), sp.mono(q1=1))]
+    for bounds in ({"w": 1}, {"q0": -1}, {"q0": 1.5}):
+        with pytest.raises(SeriesError):
+            expand(sp, fams, bounds)
 
 
 def tuple_mul(a, b):
@@ -422,6 +477,42 @@ def test_json_chunks_one_chunk_per_term():
 
 
 def test_json_chunks_reject_other_types():
-    for obj in (1.5, {"a": 0.5}, [object()], {1: 2}, {"a": {1, 2}}, b"x"):
+    s = Series.one(space2(2))
+    for obj in (1.5, {"a": 0.5}, [object()], {1: 2}, {"a": {1, 2}}, b"x",
+                # deep inside an iterator element
+                iter([{"a": [1, (2, 1.5)]}]), {"xs": iter([0, [{"b": {1}}]])},
+                # inside a plain subtree beside a Series
+                {"s": s, "p": {"q": [True, 0.5]}}, [s, [{"x": {2}}]]):
         with pytest.raises(TypeError):
             "".join(json_chunks(obj))
+
+
+Point = namedtuple("Point", ["x", "y"])
+
+
+class Tag(str):
+    pass
+
+
+class Count(int):
+    pass
+
+
+class Record(dict):
+    pass
+
+
+class Row(list):
+    pass
+
+
+def test_json_chunks_write_subclasses_as_dumps():
+    s = Series.one(space2(2))
+    point = Point(1, ["a", None])
+    for obj in (point, [point, s], {"p": point, "s": s},
+                Record(a=Row([Count(3), Tag("t")]), b=Point(Tag("u"), s)),
+                Row([Record(k=Count(-1)), False])):
+        want = json.dumps(obj, indent=2, default=to_json_dict)
+        assert "".join(json_chunks(obj)) == want
+    assert ("".join(json_chunks({"xs": iter([point, Record(k=point)])}))
+            == json.dumps({"xs": [point, Record(k=point)]}, indent=2))
