@@ -96,6 +96,8 @@ def x_i_factors(b, i):
 
 
 def x_ij_factors(b, i, j):
+    if not 1 <= i < j <= b.L:
+        raise ValueError("need 1 <= i < j <= L")
     ell = b.ell
     si = b.s[i - 1]
     sj = b.s[j - 1]
@@ -109,6 +111,8 @@ def x_ij_factors(b, i, j):
 
 
 def b_character_factors(b, i, j):
+    if not 1 <= i < j <= b.L:
+        raise ValueError("need 1 <= i < j <= L")
     ell = b.ell
     out = []
     for t in range(1, b.s[j - 1] - b.s[i - 1] + 1):
@@ -164,28 +168,6 @@ def render_factor(f):
     return "(%s)_inf^-1" % body
 
 
-def X_i(b, i, n_max):
-    return expand_factors(b, x_i_factors(b, i), n_max)
-
-
-def X_ij(b, i, j, n_max):
-    if not 1 <= i < j <= b.L:
-        raise ValueError("need 1 <= i < j <= L")
-    return expand_factors(b, x_ij_factors(b, i, j), n_max)
-
-
-def B_character(b, i, j, n_max):
-    if not 1 <= i < j <= b.L:
-        raise ValueError("need 1 <= i < j <= L")
-    return expand_factors(b, b_character_factors(b, i, j), n_max)
-
-
-def betagamma_refined(b, i, j, n_max):
-    if not 1 <= i < j <= b.L:
-        raise ValueError("need 1 <= i < j <= L")
-    return expand_factors(b, betagamma_factors(b, i, j), n_max)
-
-
 def w_refined_verma_factors(b):
     out = []
     for i in range(1, b.L + 1):
@@ -196,18 +178,12 @@ def w_refined_verma_factors(b):
     return out
 
 
-def w_refined_verma(b, n_max):
-    """Product of all diagonal X_i and off-diagonal X_ij blocks."""
-    return expand_factors(b, w_refined_verma_factors(b), n_max)
-
-
-def verify_WZ(b, n_max, brute=True):
+def verify_WZ(b, n_max):
     """Check the product form of the generating function against the
     refined Verma character times the B-truncation characters.
 
-    Also cross-checks the left side against the localization sum unless
-    `brute` is False; `brute_coefficients` counts the coefficients that
-    cross-check compared.
+    Also cross-checks the left side against the localization sum;
+    `brute_coefficients` counts the coefficients that cross-check compared.
     """
     if b.ell < 2:
         raise ValueError("need ell >= 2")
@@ -219,16 +195,13 @@ def verify_WZ(b, n_max, brute=True):
             factors.extend(b_character_factors(b, i, j))
     rhs = expand_factors(b, factors, n_max)
     report = series_diff_report(lhs, rhs)
-    if brute:
-        brep = series_diff_report(brute_force_Z(r, n_max), lhs)
-        report["brute_checked"] = True
-        report["brute_equal"] = brep["equal"]
-        report["brute_coefficients"] = brep["coefficients"]
-        if not brep["equal"]:
-            report["brute_first_diff"] = brep["first_diff"]
-            report["equal"] = False
-    else:
-        report["brute_checked"] = False
+    brep = series_diff_report(brute_force_Z(r, n_max), lhs)
+    report["brute_checked"] = True
+    report["brute_equal"] = brep["equal"]
+    report["brute_coefficients"] = brep["coefficients"]
+    if not brep["equal"]:
+        report["brute_first_diff"] = brep["first_diff"]
+        report["equal"] = False
     return report
 
 
@@ -374,7 +347,8 @@ def verify_verma_vs_X1(N, n_max=4, v_cap=4, denominator=None):
     b = BlockData((N,), (1,))
     target = canonical_space(N, n_max)
     mapped = expand(target, _zv_families(target, affine_verma_factors(N)))
-    rep1 = series_diff_report(mapped, X_i(b, 1, n_max).restrict("y"))
+    x1 = expand_factors(b, x_i_factors(b, 1), n_max)
+    rep1 = series_diff_report(mapped, x1.restrict("y"))
     if denominator is None:
         denominator = affine_verma_denominator(N, n_max, v_cap)
     rep2 = series_diff_report(denominator, x_i_unrefined_zu(b, 1, n_max, v_cap))

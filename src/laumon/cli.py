@@ -12,6 +12,7 @@ Exit codes: 0 success or verified equality, 1 verification discrepancy,
 import argparse
 import contextlib
 import functools
+import itertools
 import json
 import shutil
 import sys
@@ -245,18 +246,15 @@ def _h_tangent(cfg):
     r = localization.check_ranks(cfg.ranks)
     _warn_ranks(r)
     n = localization.check_occupation(cfg.n, len(r))
-    ell = len(r)
     fps = localization.enumerate_fixed_points(r, n)
 
     def entry(fp):
         tc = localization.tangent_character(fp, r)
-        pairs = []
-        for e in tc:
-            terms = [{"t1": k[0], "t2": k[1], "omega": k[2], "coeff": c}
-                     for k, c in sorted(e.terms.items())]
-            pairs.append({"alpha": e.sector[0], "beta": e.sector[1],
-                          "terms": terms})
-        inv = localization.tangent_count(localization.invariant_part(tc, ell))
+        pairs = [{"alpha": alpha, "beta": beta,
+                  "terms": [{"t1": t1, "t2": t2, "omega": om, "coeff": c}
+                            for (t1, t2, om), c in sorted(terms.items())]}
+                 for (alpha, beta), terms in tc.items()]
+        inv = localization.tangent_count(localization.invariant_part(tc))
         return {"mus": [mu.to_list() for mu in fp.mus],
                 "pairs": pairs,
                 "total_terms": localization.tangent_count(tc),
@@ -276,24 +274,17 @@ def _h_tangent(cfg):
 def _h_characters(cfg):
     b = characters.BlockData(cfg.m, cfg.s)
     n_max = cfg.max_order
-    entries = {}
-
-    def put(key, factors, ser):
-        entries[key] = {"factors": [characters.render_factor(f) for f in factors],
-                        "series": ser}
-
-    for i in range(1, b.L + 1):
-        put("X_%d" % i, characters.x_i_factors(b, i), characters.X_i(b, i, n_max))
-    for i in range(1, b.L + 1):
-        for j in range(i + 1, b.L + 1):
-            put("X_%d_%d" % (i, j), characters.x_ij_factors(b, i, j),
-                characters.X_ij(b, i, j, n_max))
-            put("B_%d_%d" % (i, j), characters.b_character_factors(b, i, j),
-                characters.B_character(b, i, j, n_max))
-            put("betagamma_%d_%d" % (i, j), characters.betagamma_factors(b, i, j),
-                characters.betagamma_refined(b, i, j, n_max))
-    put("w_refined_verma", characters.w_refined_verma_factors(b),
-        characters.w_refined_verma(b, n_max))
+    blocks = [("X_%d" % i, characters.x_i_factors(b, i))
+              for i in range(1, b.L + 1)]
+    for i, j in itertools.combinations(range(1, b.L + 1), 2):
+        blocks += [("X_%d_%d" % (i, j), characters.x_ij_factors(b, i, j)),
+                   ("B_%d_%d" % (i, j), characters.b_character_factors(b, i, j)),
+                   ("betagamma_%d_%d" % (i, j),
+                    characters.betagamma_factors(b, i, j))]
+    blocks.append(("w_refined_verma", characters.w_refined_verma_factors(b)))
+    entries = {key: {"factors": [characters.render_factor(f) for f in factors],
+                     "series": characters.expand_factors(b, factors, n_max)}
+               for key, factors in blocks}
     payload = {"m": list(b.m), "s": list(b.s),
                "ranks": list(characters.rank_vector_from(b)),
                "max_order": n_max, "characters": entries}
@@ -393,7 +384,7 @@ _HANDLERS = {name: h for name, (_, _, h) in COMMANDS.items()}
 def run(cfg):
     code, payload, text = _HANDLERS[cfg.command](cfg)
     # json is written in batches of about 16 KiB, each chunk one series
-    # term, one iterator element or one subtree holding neither: the whole
+    # term, one iterator element or the text between them: the whole
     # string would set peak memory
     chunks = series.json_chunks(payload) if cfg.format == "json" else (text(),)
     with (open(cfg.out, "w") if cfg.out

@@ -148,27 +148,6 @@ def enumerate_fixed_points(r, n):
     return [FixedPoint(mu for _, _, mu in picked) for picked in done]
 
 
-class RepRingElement:
-    """Tangent contribution of one sector pair (alpha, beta).
-
-    Terms map (t1, t2, omega) -> coefficient for monomials
-    T1^t1 * T2^t2 * Omega^omega, with omega reduced mod ell; the overall
-    Z_beta Z_alpha^(-1) tag is carried by the sector pair itself.
-    """
-
-    __slots__ = ("sector", "terms")
-
-    def __init__(self, sector, terms):
-        self.sector = tuple(sector)
-        self.terms = dict(terms)
-
-    def count(self):
-        return sum(self.terms.values())
-
-    def __repr__(self):
-        return "RepRingElement(%r, %r)" % (self.sector, self.terms)
-
-
 def _check_length(fp, big_r):
     if len(fp.mus) != big_r:
         raise ValueError("fixed point has %d components, expected %d"
@@ -196,9 +175,10 @@ def _pair_terms(rows_a, h_a, rows_b, h_b, shift, ell):
 
 
 def tangent_character(fp, r):
-    """One RepRingElement per pair (alpha, beta), alpha outer, beta inner.
-
-    For the pair (alpha, beta) the terms are
+    """{(alpha, beta): {(t1, t2, omega): coefficient}} over the sector
+    pairs, alpha outer and beta inner; (t1, t2, omega) is the monomial
+    T1^t1 T2^t2 Omega^omega, omega mod ell, and the pair carries the tag
+    Z_beta Z_alpha^(-1).  For the pair (alpha, beta) the terms are
       sum over boxes (i,j) of mu_alpha of
         T1^(-mu_beta_row(j)+i) * (Omega T2)^(colheight_alpha(i)-j+1)
       plus sum over boxes (i,j) of mu_beta of
@@ -212,24 +192,20 @@ def tangent_character(fp, r):
     sectors = [sector_index(b, r) for b in range(1, big_r + 1)]
     rows = [mu.rows for mu in fp.mus]
     heights = [mu.col_heights() for mu in fp.mus]
-    return [RepRingElement((alpha + 1, beta + 1),
-                           _pair_terms(rows[alpha], heights[alpha], rows[beta],
-                                       heights[beta],
-                                       sectors[beta] - sectors[alpha], ell))
-            for alpha in range(big_r) for beta in range(big_r)]
+    return {(alpha + 1, beta + 1):
+            _pair_terms(rows[alpha], heights[alpha], rows[beta], heights[beta],
+                        sectors[beta] - sectors[alpha], ell)
+            for alpha in range(big_r) for beta in range(big_r)}
 
 
-def invariant_part(elements, ell):
-    """Keep only monomials whose total Omega exponent vanishes mod ell."""
-    out = []
-    for e in elements:
-        kept = {k: c for k, c in e.terms.items() if k[2] % ell == 0}
-        out.append(RepRingElement(e.sector, kept))
-    return out
+def invariant_part(tc):
+    """Keep only monomials whose Omega exponent (already mod ell) is 0."""
+    return {pair: {k: c for k, c in terms.items() if k[2] == 0}
+            for pair, terms in tc.items()}
 
 
-def tangent_count(elements):
-    return sum(e.count() for e in elements)
+def tangent_count(tc):
+    return sum(sum(terms.values()) for terms in tc.values())
 
 
 def _morse_term(counts, col, offset, r):
@@ -251,20 +227,19 @@ def fixed_point_morse_index(fp, r):
                for beta, mu in enumerate(fp.mus, start=1))
 
 
-def morse_index_from_tangent(elements, ell):
+def morse_index_from_tangent(tc):
     """Count invariant tangent monomials with negative T2 weight for pairs
     alpha >= beta, nonpositive T2 weight for pairs alpha < beta."""
     total = 0
-    for e in elements:
-        alpha, beta = e.sector
-        for (_, t2, om), c in e.terms.items():
-            if om % ell == 0 and (t2 < 0 or (alpha < beta and t2 == 0)):
+    for (alpha, beta), terms in tc.items():
+        for (_, t2, om), c in terms.items():
+            if om == 0 and (t2 < 0 or (alpha < beta and t2 == 0)):
                 total += c
     return total
 
 
 def morse_index_oracle(fp, r):
-    return morse_index_from_tangent(tangent_character(fp, r), len(r))
+    return morse_index_from_tangent(tangent_character(fp, r))
 
 
 def morse_indices(r, fps):
@@ -302,7 +277,7 @@ def fixed_point_data(r, fps):
     Each is a sum over components or sector pairs, which fixed points
     share, so within one call each distinct (mu, beta) and each distinct
     (mu_alpha, mu_beta, a(beta) - a(alpha) mod ell, alpha < beta) is
-    computed once.  A pair's counts come from its own RepRingElement, so
+    computed once.  A pair's counts come from its own tangent terms, so
     the formula and the weight count stay independent.
     """
     r = check_ranks(r)
@@ -334,12 +309,12 @@ def fixed_point_data(r, fps):
         for alpha, beta, shift, alpha_first in classes:
             key = (mus[alpha].rows, mus[beta].rows, shift, alpha_first)
             if key not in pairs:
-                e = [RepRingElement((alpha + 1, beta + 1), _pair_terms(
+                tc = {(alpha + 1, beta + 1): _pair_terms(
                     mus[alpha].rows, mus[alpha].col_heights(), mus[beta].rows,
-                    mus[beta].col_heights(), shift, ell))]
-                pairs[key] = (tangent_count(e),
-                              tangent_count(invariant_part(e, ell)),
-                              morse_index_from_tangent(e, ell))
+                    mus[beta].col_heights(), shift, ell)}
+                pairs[key] = (tangent_count(tc),
+                              tangent_count(invariant_part(tc)),
+                              morse_index_from_tangent(tc))
             t, i, o = pairs[key]
             total += t
             inv += i

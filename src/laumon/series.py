@@ -21,7 +21,7 @@ a guard bit, so the test is one AND on the packed key.
 """
 
 from collections.abc import Iterator
-from itertools import accumulate, repeat
+from itertools import accumulate
 from json.encoder import encode_basestring_ascii
 from operator import add, itemgetter
 
@@ -494,10 +494,6 @@ def from_json_dict(d):
     return Series.from_terms(sp, terms)
 
 
-class _Streamed(Exception):
-    """A Series or an iterator met by _plain: it is written in pieces."""
-
-
 def _key(k):
     if not isinstance(k, str):
         raise TypeError("cannot write a %s key as JSON" % type(k).__name__)
@@ -513,42 +509,66 @@ _SCALARS = {
 }
 
 
-def _plain(o, nl):
-    """The text of a subtree starting at indentation nl, in one pass;
-    raises _Streamed at the first Series or iterator in it."""
+def _text(o, nl, streams):
+    """The text of a subtree starting at indentation nl, in one pass.  Each
+    Series or iterator in it is written as a NUL, which JSON text written
+    here never holds otherwise (strings escape it), and the generator of
+    its own chunks is appended to `streams`, in the order of the NULs."""
     write = _SCALARS.get(type(o))
     if write is not None:
         return write(o)
     if isinstance(o, dict):
-        return _plain_dict(o, nl)
+        if not o:
+            return "{}"
+        inner = nl + "  "
+        get = _SCALARS.get
+        return "{%s%s%s}" % (inner, ("," + inner).join([
+            _key(k) + (w(v) if (w := get(type(v))) else _text(v, inner, streams))
+            for k, v in o.items()]), nl)
     if isinstance(o, (list, tuple)):
-        return _plain_list(o, nl)
+        if not o:
+            return "[]"
+        inner = nl + "  "
+        get = _SCALARS.get
+        return "[%s%s%s]" % (inner, ("," + inner).join([
+            w(v) if (w := get(type(v))) else _text(v, inner, streams)
+            for v in o]), nl)
     if isinstance(o, str):
         return encode_basestring_ascii(o)
     if isinstance(o, int):
         return int.__repr__(o)
-    if isinstance(o, (Series, Iterator)):
-        raise _Streamed
+    if isinstance(o, Series):
+        streams.append(_series_chunks(o, nl))
+        return "\0"
+    if isinstance(o, Iterator):
+        streams.append(_iter_chunks(o, nl))
+        return "\0"
     raise TypeError("cannot write %s as JSON" % type(o).__name__)
 
 
-def _plain_dict(o, nl):
-    if not o:
-        return "{}"
-    inner = nl + "  "
-    get = _SCALARS.get
-    return "{%s%s%s}" % (inner, ("," + inner).join([
-        _key(k) + (w(v) if (w := get(type(v))) else _plain(v, inner))
-        for k, v in o.items()]), nl)
+def _chunks(o, nl):
+    """A subtree's text, cut at each Series and iterator, which are
+    written in its place one chunk at a time."""
+    streams = []
+    parts = _text(o, nl, streams).split("\0")
+    for part, stream in zip(parts, streams):
+        if part:
+            yield part
+        yield from stream
+    if parts[-1]:
+        yield parts[-1]
 
 
-def _plain_list(o, nl):
-    if not o:
-        return "[]"
+def _iter_chunks(it, nl):
+    """An iterator's elements, drawn one at a time so only one is alive;
+    the bytes are those of a list of the same elements."""
     inner = nl + "  "
-    get = _SCALARS.get
-    return "[%s%s%s]" % (inner, ("," + inner).join([
-        w(v) if (w := get(type(v))) else _plain(v, inner) for v in o]), nl)
+    sep = "["
+    for v in it:
+        yield sep + inner
+        yield from _chunks(v, inner)
+        sep = ","
+    yield "[]" if sep == "[" else nl + "]"
 
 
 def _series_chunks(s, nl):
@@ -556,11 +576,11 @@ def _series_chunks(s, nl):
     i1 = nl + "  "
     i2, i3 = i1 + "  ", i1 + "    "
     head = '{%s"variables": %s,%s"grading": %s,%s"truncation": %d' % (
-        i1, _plain_list(sp.names, i1), i1, _plain_list(sp.grading, i1), i1,
+        i1, _text(sp.names, i1, None), i1, _text(sp.grading, i1, None), i1,
         sp.truncation)
     if sp.caps:
         caps = {n: sp.caps[n] for n in sp.names if n in sp.caps}
-        head += ',%s"caps": %s' % (i1, _plain_dict(caps, i1))
+        head += ',%s"caps": %s' % (i1, _text(caps, i1, None))
     terms = s.terms
     if not terms:
         yield head + ',%s"terms": []%s}' % (i1, nl)
@@ -578,41 +598,13 @@ def _series_chunks(s, nl):
     yield i1 + "]" + nl + "}"
 
 
-def _chunks(o, nl):
-    try:
-        text = _plain(o, nl)
-    except _Streamed:
-        pass
-    else:
-        yield text
-        return
-    if isinstance(o, Series):
-        yield from _series_chunks(o, nl)
-        return
-    inner = nl + "  "
-    if isinstance(o, dict):
-        heads, values, brackets = [inner + _key(k) for k in o], o.values(), "{}"
-    elif isinstance(o, (list, tuple)):
-        heads, values, brackets = [inner] * len(o), o, "[]"
-    else:
-        # an iterator, drawn one element at a time, so only one is alive;
-        # the bytes are those of a list of the same elements
-        heads, values, brackets = repeat(inner), o, "[]"
-    sep = brackets[0]
-    for head, v in zip(heads, values):
-        yield sep + head
-        yield from _chunks(v, inner)
-        sep = ","
-    yield brackets if sep == brackets[0] else nl + brackets[1]
-
-
 def json_chunks(obj):
     """The text of json.dumps(obj, indent=2, default=to_json_dict), in
-    pieces: one per Series term, one per element of an iterator, and one
-    per subtree holding neither, written in one pass.  Values may be dicts
-    with str keys, lists, tuples, Series, str, int, bool and None; any
-    other type raises TypeError.  An iterator is written as a list of what
-    it yields, drawing one element at a time."""
+    pieces: each Series term, each element of an iterator, and each stretch
+    of text between them, every subtree written in one pass.  Values may
+    be dicts with str keys, lists, tuples, Series, str, int, bool and None;
+    any other type raises TypeError.  An iterator is written as a list of
+    what it yields, drawing one element at a time."""
     return _chunks(obj, "\n")
 
 

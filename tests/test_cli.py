@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -203,6 +204,41 @@ def test_characters_payload(capsys):
     assert chars["X_1_2"]["factors"]
     assert all("_inf^-1" in f for f in chars["X_1_2"]["factors"])
     from_json_dict(chars["X_1_2"]["series"])
+
+
+def test_characters_output_pinned():
+    """`characters` prints the bytes it printed when each block was
+    expanded through its own wrapper (sha256, JSON and text)."""
+    argv = ["characters", "--m", "1,2", "--s", "1,2", "--max-order", "6"]
+    digests = {
+        "json": "3cf2299acf8f63edff6bcb368633069fcd0aa4fa4cbe5a758f441c0824c0b587",
+        "text": "ebbdcfc9c8245c9556c0a2e521ebf227c4800e99d9a65d44904c2552281d3009"}
+    for fmt, digest in digests.items():
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert cli.main(argv + ["--format", fmt]) == 0
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
+
+
+def test_benchmark_trace_targets_resolve():
+    """Every (module, attribute) the benchmark's tracer wraps exists in
+    laumon, looked up as the tracer looks it up: a function on its module,
+    a method in its class's own namespace."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                        "tracing.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.TARGETS
+    for module, attr, _, _ in tracing.TARGETS:
+        mod = importlib.import_module("laumon." + module)
+        if "." in attr:
+            cls_name, name = attr.split(".")
+            assert name in vars(getattr(mod, cls_name)), (module, attr)
+        else:
+            assert callable(getattr(mod, attr, None)), (module, attr)
+    # the tracer also rebinds the entries of the handler table
+    assert set(cli._HANDLERS) == set(cli.COMMANDS)
 
 
 def test_spin_payload(capsys):

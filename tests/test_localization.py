@@ -72,19 +72,18 @@ def test_enumerate_fixed_points_matches_filter():
 def test_tangent_character_hand_case():
     fp = FixedPoint([(1,), ()])
     tc = tangent_character(fp, (1, 1))
-    by_sector = {e.sector: e.terms for e in tc}
-    assert by_sector[(1, 1)] == {(0, 1, 1): 1, (1, 0, 0): 1}
-    assert by_sector[(1, 2)] == {(1, 1, 0): 1}
-    assert by_sector[(2, 1)] == {(0, 0, 1): 1}
-    assert by_sector[(2, 2)] == {}
+    assert tc[(1, 1)] == {(0, 1, 1): 1, (1, 0, 0): 1}
+    assert tc[(1, 2)] == {(1, 1, 0): 1}
+    assert tc[(2, 1)] == {(0, 0, 1): 1}
+    assert tc[(2, 2)] == {}
     assert tangent_count(tc) == 4
-    assert tangent_count(invariant_part(tc, 2)) == 2
+    assert tangent_count(invariant_part(tc)) == 2
 
 
 def test_tangent_character_empty_is_empty():
     fp = FixedPoint([(), (), ()])
     tc = tangent_character(fp, (1, 1, 1))
-    assert all(e.terms == {} for e in tc)
+    assert all(terms == {} for terms in tc.values())
 
 
 def test_tangent_dimension_count():
@@ -98,7 +97,7 @@ def test_tangent_dimension_count():
     for r in ((1, 1), (2, 1)):
         seen = {}
         for fp in fixed_points_of_size(r, 3):
-            inv = tangent_count(invariant_part(tangent_character(fp, r), len(r)))
+            inv = tangent_count(invariant_part(tangent_character(fp, r)))
             seen.setdefault(fp.occupation(r), set()).add(inv)
         assert all(len(v) == 1 for v in seen.values())
     del rng
@@ -142,9 +141,13 @@ def test_tangent_character_matches_box_reference(case):
     r, fp = case
     tc = tangent_character(fp, r)
     # keys, counts and insertion order all agree
-    assert [(e.sector, list(e.terms.items())) for e in tc] \
+    assert [(pair, list(terms.items())) for pair, terms in tc.items()] \
         == reference_tangent(fp, r)
-    assert morse_index_from_tangent(tc, len(r)) \
+    assert [(pair, list(terms.items()))
+            for pair, terms in invariant_part(tc).items()] \
+        == [(pair, [(k, c) for k, c in terms if k[2] % len(r) == 0])
+            for pair, terms in reference_tangent(fp, r)]
+    assert morse_index_from_tangent(tc) \
         == fixed_point_morse_index(fp, r) == morse_index_oracle(fp, r)
 
 
@@ -262,7 +265,7 @@ def test_fixed_point_data_matches_per_fixed_point(r, top):
         tc = tangent_character(fp, r)
         assert d == (fp.occupation(r), fixed_point_morse_index(fp, r),
                      tangent_count(tc),
-                     tangent_count(invariant_part(tc, len(r))),
+                     tangent_count(invariant_part(tc)),
                      morse_index_oracle(fp, r)), (r, fp)
 
 

@@ -487,6 +487,23 @@ def test_json_chunks_reject_other_types():
             "".join(json_chunks(obj))
 
 
+class CountedList(list):
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+def test_json_chunks_write_plain_siblings_once():
+    """A plain value before a Series two levels down is iterated once."""
+    xs = CountedList([1, [2, "a"]])
+    xs.iterations = 0
+    obj = {"a": {"xs": xs, "s": Series.one(space2(2))}, "b": 3}
+    want = json.dumps(obj, indent=2, default=to_json_dict)
+    xs.iterations = 0
+    assert "".join(json_chunks(obj)) == want
+    assert xs.iterations == 1
+
+
 Point = namedtuple("Point", ["x", "y"])
 
 
