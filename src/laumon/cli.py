@@ -6,7 +6,10 @@ scope; `acceptance` prints one line per row of `acceptance.CRITERIA`, the
 whole verification grid and the shipped golden fixtures.
 
 Exit codes: 0 success or verified equality, 1 verification discrepancy,
-2 usage error, 3 internal assertion failure.
+2 usage error (an --out path that cannot be opened included), 3 internal
+assertion failure, and 141 (128 + SIGPIPE, as a shell reports a process
+that SIGPIPE ended) when the reader of stdout closes it before the output
+is written.
 """
 
 import argparse
@@ -14,6 +17,7 @@ import contextlib
 import functools
 import itertools
 import json
+import os
 import shutil
 import sys
 
@@ -248,25 +252,27 @@ def _h_tangent(cfg):
     n = localization.check_occupation(cfg.n, len(r))
     fps = localization.enumerate_fixed_points(r, n)
 
-    def entry(fp):
+    def counts(fp):
         tc = localization.tangent_character(fp, r)
+        return (tc, [mu.to_list() for mu in fp.mus],
+                localization.tangent_count(tc),
+                localization.tangent_count(localization.invariant_part(tc)))
+
+    def entry(fp):
+        tc, mus, total, inv = counts(fp)
         pairs = [{"alpha": alpha, "beta": beta,
                   "terms": [{"t1": t1, "t2": t2, "omega": om, "coeff": c}
                             for (t1, t2, om), c in sorted(terms.items())]}
                  for (alpha, beta), terms in tc.items()]
-        inv = localization.tangent_count(localization.invariant_part(tc))
-        return {"mus": [mu.to_list() for mu in fp.mus],
-                "pairs": pairs,
-                "total_terms": localization.tangent_count(tc),
+        return {"mus": mus, "pairs": pairs, "total_terms": total,
                 "invariant_terms": inv}
 
     # an iterator: each fixed point is written as soon as it is computed
     payload = {"r": list(r), "n": list(n), "fixed_points": map(entry, fps)}
 
     def text():
-        lines = ["mus=%s total=%d invariant=%d"
-                 % (json.dumps(e["mus"]), e["total_terms"], e["invariant_terms"])
-                 for e in map(entry, fps)]
+        lines = ["mus=%s total=%d invariant=%d" % (json.dumps(mus), total, inv)
+                 for _, mus, total, inv in map(counts, fps)]
         return "\n".join(lines) if lines else "no fixed points"
     return 0, payload, text
 
@@ -383,21 +389,27 @@ _HANDLERS = {name: h for name, (_, _, h) in COMMANDS.items()}
 
 def run(cfg):
     code, payload, text = _HANDLERS[cfg.command](cfg)
-    # json is written in batches of about 16 KiB, each chunk one series
-    # term, one iterator element or the text between them: the whole
-    # string would set peak memory
+    # json is written chunk by chunk, each a batch of series terms, an
+    # iterator element or the text between them: the whole string would
+    # set peak memory
     chunks = series.json_chunks(payload) if cfg.format == "json" else (text(),)
-    with (open(cfg.out, "w") if cfg.out
-          else contextlib.nullcontext(sys.stdout)) as fh:
-        batch, size = [], 0
-        for chunk in chunks:
-            batch.append(chunk)
-            size += len(chunk)
-            if size >= 16384:
-                fh.write("".join(batch))
-                batch, size = [], 0
-        batch.append("\n")
-        fh.write("".join(batch))
+    try:
+        out = (open(cfg.out, "w") if cfg.out
+               else contextlib.nullcontext(sys.stdout))
+    except OSError as e:
+        raise ValueError("cannot write --out %s: %s"
+                         % (cfg.out, e.strerror)) from None
+    try:
+        with out as fh:
+            fh.writelines(chunks)
+            fh.write("\n")
+            # a closed pipe shows here, not at exit
+            fh.flush()
+    except BrokenPipeError:
+        # the reader is gone: what stdout still buffers goes to devnull, so
+        # that the flush at exit fails no more
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141    # 128 + SIGPIPE, as a shell reports it
     return code
 
 

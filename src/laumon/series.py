@@ -21,7 +21,7 @@ a guard bit, so the test is one AND on the packed key.
 """
 
 from collections.abc import Iterator
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
 from json.encoder import encode_basestring_ascii
 from operator import add, itemgetter
 
@@ -571,7 +571,13 @@ def _iter_chunks(it, nl):
     yield "[]" if sep == "[" else nl + "]"
 
 
+# terms per chunk of a series: about 16 KiB of text with four variables
+_BATCH = 128
+
+
 def _series_chunks(s, nl):
+    """A series' text: the header, then one chunk per _BATCH terms, each
+    built column by column, then the closing brackets."""
     sp = s.space
     i1 = nl + "  "
     i2, i3 = i1 + "  ", i1 + "    "
@@ -586,25 +592,43 @@ def _series_chunks(s, nl):
         yield head + ',%s"terms": []%s}' % (i1, nl)
         return
     yield head + ',%s"terms": [' % i1
-    keys = [i3 + "  " + _key(n) for n in sp.names]
-    open_term = i2 + "{" + i3 + '"exp": '
-    sep = ""
-    for m in sorted(terms, reverse=True):    # the order of terms_sorted()
-        exp = [k + int.__repr__(e) for k, e in zip(keys, m) if e]
-        yield '%s%s%s,%s"coeff": "%d"%s}' % (
-            sep, open_term, "{%s%s}" % (",".join(exp), i3) if exp else "{}",
-            i3, terms[m], i2)
-        sep = ","
+    ms = sorted(terms, reverse=True)    # the order of terms_sorted()
+    # each variable's cell for every exponent it takes: ',<indent>"name": e',
+    # and "" for 0; a term's cells joined, less the first comma, are its
+    # "exp" entries
+    cells = []
+    for i, name in enumerate(sp.names):
+        cell = "," + i3 + "  " + _key(name)
+        cells.append({e: cell + int.__repr__(e) if e else ""
+                      for e in set(map(itemgetter(i), ms))}.__getitem__)
+    # a term is a, its entries, b, its coefficient and c; the all-zero
+    # monomial alone has no entries, so a + b occurs only there, and it is
+    # patched to "exp": {}
+    a = ',%s{%s"exp": {' % (i2, i3)
+    b = '%s},%s"coeff": "' % (i3, i3)
+    c = '"%s}' % i2
+    drop_comma = itemgetter(slice(1, None))
+    for lo in range(0, len(ms), _BATCH):
+        batch = ms[lo:lo + _BATCH]
+        # a space without variables holds only the all-zero monomial
+        cols = list(map(map, cells, zip(*batch))) or [[""] * len(batch)]
+        chunk = "".join(chain.from_iterable(zip(
+            repeat(a), map(drop_comma, map("".join, zip(*cols))), repeat(b),
+            map(int.__repr__, map(terms.__getitem__, batch)), repeat(c))))
+        chunk = chunk.replace(a + b, a + b[len(i3):])
+        # the first term follows the "[" with no comma
+        yield chunk[1:] if lo == 0 else chunk
     yield i1 + "]" + nl + "}"
 
 
 def json_chunks(obj):
     """The text of json.dumps(obj, indent=2, default=to_json_dict), in
-    pieces: each Series term, each element of an iterator, and each stretch
-    of text between them, every subtree written in one pass.  Values may
-    be dicts with str keys, lists, tuples, Series, str, int, bool and None;
-    any other type raises TypeError.  An iterator is written as a list of
-    what it yields, drawing one element at a time."""
+    pieces: each batch of up to _BATCH terms of a Series, each element of
+    an iterator, and each stretch of text between them, every subtree
+    written in one pass.  Values may be dicts with str keys, lists, tuples,
+    Series, str, int, bool and None; any other type raises TypeError.  An
+    iterator is written as a list of what it yields, drawing one element at
+    a time."""
     return _chunks(obj, "\n")
 
 

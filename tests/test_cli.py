@@ -194,6 +194,23 @@ def test_tangent_streams_each_fixed_point(monkeypatch):
             assert len(writes) > 10 and writes[0] < 10
 
 
+def test_tangent_text_pinned(capsys):
+    """The text form prints the counts only, with the bytes it printed when
+    it built each fixed point's JSON entry first."""
+    code, out, err = run_main(capsys, "tangent", "--ranks", "2,1", "--n", "2,1",
+                              "--format", "text")
+    assert code == 0
+    assert out == "".join(
+        "mus=%s total=18 invariant=9\n" % mus for mus in (
+            "[[2, 1], [], []]", "[[1, 1, 1], [], []]", "[[1, 1], [1], []]",
+            "[[2], [], [1]]", "[[1], [1, 1], []]", "[[1], [1], [1]]",
+            "[[1], [], [1, 1]]", "[[], [2, 1], []]", "[[], [1, 1, 1], []]",
+            "[[], [2], [1]]", "[[], [1], [1, 1]]"))
+    code, out, err = run_main(capsys, "tangent", "--ranks", "2,1", "--n", "0,0",
+                              "--format", "text")
+    assert (code, out) == (0, "mus=[[], [], []] total=0 invariant=0\n")
+
+
 def test_characters_payload(capsys):
     code, out, err = run_main(capsys, "characters", "--m", "1,1",
                               "--s", "1,2", "--max-order", "2")
@@ -371,6 +388,35 @@ def test_json_output_is_dumps_bytes(command, ranks, order):
     with contextlib.redirect_stdout(buf):
         assert cli.main(argv) == 0
     assert buf.getvalue() == want
+
+
+def test_unwritable_out_is_a_usage_error(capsys):
+    """An --out path that cannot be opened exits 2 with one error line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for path in (tmp, os.path.join(tmp, "missing", "out.json")):
+            code, out, err = run_main(capsys, "spin", "--m", "1", "--s", "1",
+                                      "--out", path)
+            assert (code, out) == (2, "")
+            assert err.startswith("error: cannot write --out %s: " % path)
+            assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    """A reader that closes stdout early ends the program with status 141
+    and nothing on stderr."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(
+        os.path.dirname(__file__), os.pardir, "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "laumon", "zr-closed", "--ranks", "2,2,2",
+         "--max-order", "12"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    # the output (about 700 KB) outgrows the pipe, so the program is still
+    # writing when the pipe closes
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait() == 141
+    assert err == b""
 
 
 def test_appendixB_ell_2_exit_2(capsys):

@@ -9,10 +9,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from laumon.series import (Series, SeriesError, VariableSpace, canonical_space,
-                           expand, from_json_dict, geometric_inverse,
-                           json_chunks, pochhammer_inverse, render_text,
-                           series_diff_report, substitute, to_json_dict)
+from laumon.series import (_BATCH, Series, SeriesError, VariableSpace,
+                           canonical_space, expand, from_json_dict,
+                           geometric_inverse, json_chunks, pochhammer_inverse,
+                           render_text, series_diff_report, substitute,
+                           to_json_dict)
 
 
 def space2(trunc=4):
@@ -449,11 +450,20 @@ _json_values = st.recursive(
     max_leaves=16)
 
 
+# more than two batches of terms, with negative y exponents, coefficients
+# past 2^64 and the unit monomial inside the third batch
+_SPANS_BATCHES = Series.from_terms(canonical_space(2, 6), {
+    (y, q0, q1): (-1) ** y * (2 ** 64 + 3 * q0 + q1)
+    for y in range(-10, 11) for q0 in range(7) for q1 in range(7 - q0)})
+
+
 @settings(max_examples=200)
 @given(_json_values)
 @example(Series.zero(space2(3)))
 @example({"s": [Series.one(canonical_space(1, 0), -7), {}]})
 @example([Series.monomial(capped_space(2, 1), (0, 0, 0), 3), []])
+@example({"big": _SPANS_BATCHES})
+@example(Series.one(VariableSpace((), (), 0), 5))    # no variables
 def test_json_chunks_equal_dumps(obj):
     """The streaming writer gives exactly the text of json.dumps with
     indent=2 and to_json_dict for series."""
@@ -469,11 +479,25 @@ def test_json_chunks_write_iterators_as_lists(items):
     assert "".join(json_chunks({"xs": iter(items), "n": 1})) == want
 
 
-def test_json_chunks_one_chunk_per_term():
-    s = Series.from_terms(space2(2), {(0, 0, 0): 1, (1, 1, 0): 2, (0, 0, 2): -3})
-    chunks = list(json_chunks(s))
-    assert len(chunks) == 2 + len(s.terms)
-    assert '"exp": {}' in chunks[-2]     # the unit monomial sorts last
+def test_json_chunks_one_chunk_per_batch():
+    """A series streams in chunks of at most _BATCH terms; the all-zero
+    monomial is written as "exp": {} wherever it falls."""
+    n = 3 * _BATCH + 5
+    for pos in (0, 1, _BATCH - 1, _BATCH, _BATCH + 1, 2 * _BATCH + 7, n - 1):
+        # pos monomials sort before the unit (y > 0), the rest after (y < 0)
+        terms = {(0, 0): -5}
+        terms.update({(1 + i, 0): i + 1 for i in range(pos)})
+        terms.update({(-1 - i, 1): 2 ** 65 for i in range(n - 1 - pos)})
+        s = Series.from_terms(canonical_space(1, 1), terms)
+        chunks = list(json_chunks(s))
+        counts = [c.count('"coeff"') for c in chunks]
+        assert sum(counts) == n and len(chunks) > 3
+        assert max(counts) <= _BATCH
+        assert "".join(chunks) == json.dumps(s, indent=2, default=to_json_dict)
+        # exactly once, in the chunk that holds term pos
+        assert "".join(chunks).count('"exp": {}') == 1
+        i = next(k for k, c in enumerate(chunks) if '"exp": {}' in c)
+        assert sum(counts[:i]) <= pos < sum(counts[:i + 1])
 
 
 def test_json_chunks_reject_other_types():
