@@ -6,10 +6,10 @@ scope; `acceptance` prints one line per row of `acceptance.CRITERIA`, the
 whole verification grid and the shipped golden fixtures.
 
 Exit codes: 0 success or verified equality, 1 verification discrepancy,
-2 usage error (an --out path that cannot be opened included), 3 internal
-assertion failure, and 141 (128 + SIGPIPE, as a shell reports a process
-that SIGPIPE ended) when the reader of stdout closes it before the output
-is written.
+2 usage error (an --out path that cannot be opened included) or an output
+that cannot be written, as on a full disk, 3 internal assertion failure,
+and 141 (128 + SIGPIPE, as a shell reports a process that SIGPIPE ended)
+when the reader of stdout closes it before the output is written.
 """
 
 import argparse
@@ -204,7 +204,7 @@ def _h_fixed_points(cfg):
     _warn_ranks(r)
     n = localization.check_occupation(cfg.n, len(r))
     fps = localization.enumerate_fixed_points(r, n)
-    entries = [{"mus": [mu.to_list() for mu in fp.mus], "morse": w}
+    entries = [{"mus": [list(mu) for mu in fp.mus], "morse": w}
                for fp, w in zip(fps, localization.morse_indices(r, fps))]
     payload = {"r": list(r), "n": list(n), "fixed_points": entries}
 
@@ -227,7 +227,7 @@ def _h_morse(cfg):
     data = localization.fixed_point_data(r, fps)
     for fp, (_, wf, _, _, wo) in zip(fps, data):
         agree = agree and wf == wo
-        entries.append({"mus": [mu.to_list() for mu in fp.mus],
+        entries.append({"mus": [list(mu) for mu in fp.mus],
                         "formula": wf, "oracle": wo})
         poincare[2 * wf] = poincare.get(2 * wf, 0) + 1
     poincare = dict(sorted(poincare.items()))
@@ -254,7 +254,7 @@ def _h_tangent(cfg):
 
     def counts(fp):
         tc = localization.tangent_character(fp, r)
-        return (tc, [mu.to_list() for mu in fp.mus],
+        return (tc, [list(mu) for mu in fp.mus],
                 localization.tangent_count(tc),
                 localization.tangent_count(localization.invariant_part(tc)))
 
@@ -405,11 +405,17 @@ def run(cfg):
             fh.write("\n")
             # a closed pipe shows here, not at exit
             fh.flush()
-    except BrokenPipeError:
-        # the reader is gone: what stdout still buffers goes to devnull, so
-        # that the flush at exit fails no more
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 141    # 128 + SIGPIPE, as a shell reports it
+    except OSError as e:
+        if not cfg.out:
+            # what stdout still buffers goes to devnull, so that the flush
+            # at exit fails no more
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
+        if isinstance(e, BrokenPipeError):
+            # the reader is gone
+            return 141    # 128 + SIGPIPE, as a shell reports it
+        raise ValueError("cannot write output: %s" % e.strerror) from None
     return code
 
 

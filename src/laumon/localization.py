@@ -20,7 +20,7 @@ helpers take an already-checked tuple.
 import itertools
 from operator import add, mul, sub
 
-from .partitions import Partition, colored_counts, enumerate_partitions
+from .partitions import col_heights, colored_counts, enumerate_partitions
 from .series import Series, canonical_space
 
 
@@ -58,11 +58,12 @@ def sector_index(beta, r):
 
 
 class FixedPoint:
+    """A torus fixed point: `mus` holds one partition per sector
+    1..sum(r), each the tuple of its row lengths."""
     __slots__ = ("mus",)
 
     def __init__(self, mus):
-        self.mus = tuple(mu if isinstance(mu, Partition) else Partition(mu)
-                         for mu in mus)
+        self.mus = tuple(map(tuple, mus))
 
     def occupation(self, r):
         """Combined per-color box counts of all components."""
@@ -81,7 +82,7 @@ class FixedPoint:
         return hash(self.mus)
 
     def __repr__(self):
-        return "FixedPoint(%r)" % (tuple(mu.to_list() for mu in self.mus),)
+        return "FixedPoint(%r)" % (tuple(map(list, self.mus)),)
 
 
 def _compositions(total, parts):
@@ -157,7 +158,7 @@ def _check_length(fp, big_r):
 def _pair_terms(rows_a, h_a, rows_b, h_b, shift, ell):
     """Terms of one sector pair from the row lengths and column heights of
     mu_alpha and mu_beta and shift = a(beta) - a(alpha), which counts only
-    mod ell; boxes are taken row by row, as Partition.boxes() yields them."""
+    mod ell; boxes are taken row by row, as partitions.boxes yields them."""
     terms = {}
     for j, r_a in enumerate(rows_a, start=1):
         r_b = rows_b[j - 1] if j <= len(rows_b) else 0
@@ -190,10 +191,10 @@ def tangent_character(fp, r):
     big_r = sum(r)
     _check_length(fp, big_r)
     sectors = [sector_index(b, r) for b in range(1, big_r + 1)]
-    rows = [mu.rows for mu in fp.mus]
-    heights = [mu.col_heights() for mu in fp.mus]
+    mus = fp.mus
+    heights = [col_heights(mu) for mu in mus]
     return {(alpha + 1, beta + 1):
-            _pair_terms(rows[alpha], heights[alpha], rows[beta], heights[beta],
+            _pair_terms(mus[alpha], heights[alpha], mus[beta], heights[beta],
                         sectors[beta] - sectors[alpha], ell)
             for alpha in range(big_r) for beta in range(big_r)}
 
@@ -218,7 +219,7 @@ def morse_index_formula(mu, beta, r):
     """Index contribution of one component: the color counts paired with
     the rank entries, minus the column count times the in-sector offset."""
     a = sector_index(beta, r)
-    return _morse_term(colored_counts(mu, a, len(r)), mu.col,
+    return _morse_term(colored_counts(mu, a, len(r)), mu[0] if mu else 0,
                        sum(r[: a + 1]) - beta + 1, r)
 
 
@@ -253,20 +254,12 @@ def morse_indices(r, fps):
     for fp in fps:
         w = 0
         for beta, mu in enumerate(fp.mus, start=1):
-            key = (mu.rows, beta)
+            key = (mu, beta)
             if key not in terms:
                 terms[key] = morse_index_formula(mu, beta, r)
             w += terms[key]
         out.append(w)
     return out
-
-
-def poincare_polynomial(r, n):
-    """Map from y-exponent 2w to the number-of-fixed-points weight count."""
-    out = {}
-    for w in morse_indices(r, enumerate_fixed_points(r, n)):
-        out[2 * w] = out.get(2 * w, 0) + 1
-    return dict(sorted(out.items()))
 
 
 def fixed_point_data(r, fps):
@@ -277,8 +270,9 @@ def fixed_point_data(r, fps):
     Each is a sum over components or sector pairs, which fixed points
     share, so within one call each distinct (mu, beta) and each distinct
     (mu_alpha, mu_beta, a(beta) - a(alpha) mod ell, alpha < beta) is
-    computed once.  A pair's counts come from its own tangent terms, so
-    the formula and the weight count stay independent.
+    computed once, each mu keyed by its row tuple.  A pair's counts come
+    from its own tangent terms, so the formula and the weight count stay
+    independent.
     """
     r = check_ranks(r)
     ell = len(r)
@@ -298,20 +292,21 @@ def fixed_point_data(r, fps):
         n = (0,) * ell
         w = total = inv = oracle = 0
         for beta, mu in enumerate(mus):
-            key = (mu.rows, beta)
+            key = (mu, beta)
             if key not in components:
                 counts = colored_counts(mu, sectors[beta], ell)
-                components[key] = (counts, _morse_term(counts, mu.col,
-                                                       offsets[beta], r))
+                components[key] = (counts, _morse_term(
+                    counts, mu[0] if mu else 0, offsets[beta], r))
             counts, term = components[key]
             n = tuple(map(add, n, counts))
             w += term
         for alpha, beta, shift, alpha_first in classes:
-            key = (mus[alpha].rows, mus[beta].rows, shift, alpha_first)
+            mu_a, mu_b = mus[alpha], mus[beta]
+            key = (mu_a, mu_b, shift, alpha_first)
             if key not in pairs:
                 tc = {(alpha + 1, beta + 1): _pair_terms(
-                    mus[alpha].rows, mus[alpha].col_heights(), mus[beta].rows,
-                    mus[beta].col_heights(), shift, ell)}
+                    mu_a, col_heights(mu_a), mu_b, col_heights(mu_b), shift,
+                    ell)}
                 pairs[key] = (tangent_count(tc),
                               tangent_count(invariant_part(tc)),
                               morse_index_from_tangent(tc))
@@ -348,7 +343,7 @@ def brute_force_Z(r, n_max):
         offset = sum(r[: a + 1]) - beta + 1
         terms = {}
         for mu, cc in zip(mus, counts[a]):
-            mono = (2 * _morse_term(cc, mu.col, offset, r),) + cc
+            mono = (2 * _morse_term(cc, mu[0] if mu else 0, offset, r),) + cc
             terms[mono] = terms.get(mono, 0) + 1
         out = out * Series.from_terms(space, terms)
     return out

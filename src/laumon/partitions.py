@@ -1,64 +1,30 @@
 """Young-diagram primitives.
 
-Partitions are stored as weakly decreasing row lengths; the box set is
-{(i, j) : 1 <= i <= rows[j-1]} with i the column index and j the row
-index, both 1-based.  The color of box (i, j) in an a-colored diagram is
-a - j + 1 reduced mod ell and depends only on the row.
+A partition mu is the tuple of its row lengths, positive and weakly
+decreasing, with () the empty partition; its column count is mu[0] (0 if
+empty).  The box set is {(i, j) : 1 <= i <= mu[j-1]} with i the column
+index and j the row index, both 1-based.  The color of box (i, j) in an
+a-colored diagram is a - j + 1 reduced mod ell and depends only on the row.
 """
 
 from .series import Series, VariableSpace
 
 
-class Partition:
-    __slots__ = ("rows",)
+def col_heights(mu):
+    """Tuple of column heights (the conjugate partition), read from the
+    bottom row up: the columns a row adds past the rows below it have
+    that row's index as their height."""
+    heights = []
+    for j in range(len(mu), 0, -1):
+        heights += [j] * (mu[j - 1] - len(heights))
+    return tuple(heights)
 
-    def __init__(self, rows=()):
-        rows = tuple(int(r) for r in rows)
-        for k, r in enumerate(rows):
-            if r < 1:
-                raise ValueError("row lengths must be positive: %r" % (rows,))
-            if k and rows[k - 1] < r:
-                raise ValueError("rows must be weakly decreasing: %r" % (rows,))
-        self.rows = rows
 
-    @property
-    def size(self):
-        return sum(self.rows)
-
-    @property
-    def col(self):
-        """Number of columns, i.e. the first row length (0 if empty)."""
-        return self.rows[0] if self.rows else 0
-
-    def row(self, j):
-        """Length of row j (1-based); 0 beyond the diagram."""
-        return self.rows[j - 1] if 1 <= j <= len(self.rows) else 0
-
-    def col_heights(self):
-        """Tuple of column heights (the conjugate partition), read from the
-        bottom row up: the columns a row adds past the rows below it have
-        that row's index as their height."""
-        heights = []
-        for j in range(len(self.rows), 0, -1):
-            heights += [j] * (self.rows[j - 1] - len(heights))
-        return tuple(heights)
-
-    def boxes(self):
-        for j, r in enumerate(self.rows, start=1):
-            for i in range(1, r + 1):
-                yield (i, j)
-
-    def to_list(self):
-        return list(self.rows)
-
-    def __eq__(self, other):
-        return isinstance(other, Partition) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
-
-    def __repr__(self):
-        return "Partition(%r)" % (list(self.rows),)
+def boxes(mu):
+    """The boxes (i, j) of mu, row by row."""
+    for j, r in enumerate(mu, start=1):
+        for i in range(1, r + 1):
+            yield (i, j)
 
 
 def _descending(n, maxpart):
@@ -74,7 +40,7 @@ def enumerate_partitions(n):
     """All partitions of n, each once, in descending lexicographic order."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    return [Partition(rows) for rows in _descending(n, n)]
+    return list(_descending(n, n))
 
 
 def colored_counts(mu, a, ell):
@@ -82,7 +48,7 @@ def colored_counts(mu, a, ell):
     if ell < 2:
         raise ValueError("ell must be >= 2")
     counts = [0] * ell
-    for j, r in enumerate(mu.rows, start=1):
+    for j, r in enumerate(mu, start=1):
         counts[(a - j + 1) % ell] += r
     return tuple(counts)
 
@@ -97,22 +63,22 @@ def _check_residue(c, ell):
 def count_N1_geq(mu, c, ell):
     """Boxes (i, j) whose column height h(i) has h(i) - j = c mod ell."""
     _check_residue(c, ell)
-    heights = mu.col_heights()
-    return sum(1 for i, j in mu.boxes() if (heights[i - 1] - j - c) % ell == 0)
+    heights = col_heights(mu)
+    return sum(1 for i, j in boxes(mu) if (heights[i - 1] - j - c) % ell == 0)
 
 
 def count_N1_gt(mu, c, ell):
     """Same as count_N1_geq but restricted to h(i) - j > 0."""
     _check_residue(c, ell)
-    heights = mu.col_heights()
-    return sum(1 for i, j in mu.boxes()
+    heights = col_heights(mu)
+    return sum(1 for i, j in boxes(mu)
                if heights[i - 1] - j > 0 and (heights[i - 1] - j - c) % ell == 0)
 
 
 def count_N2_geq(mu, c, ell):
     """Boxes (i, j) with j - 1 congruent to c mod ell."""
     _check_residue(c, ell)
-    return sum(r for j, r in enumerate(mu.rows, start=1) if (j - 1 - c) % ell == 0)
+    return sum(r for j, r in enumerate(mu, start=1) if (j - 1 - c) % ell == 0)
 
 
 def box_count_table(mu, ell):
@@ -121,9 +87,9 @@ def box_count_table(mu, ell):
     row length at its row index j - 1, as the count_* functions do."""
     if ell < 2:
         raise ValueError("ell must be >= 2")
-    heights = mu.col_heights()
+    heights = col_heights(mu)
     n1_geq, n1_gt, n2_geq = [0] * ell, [0] * ell, [0] * ell
-    for j, r in enumerate(mu.rows, start=1):
+    for j, r in enumerate(mu, start=1):
         n2_geq[(j - 1) % ell] += r
         for h in heights[:r]:
             n1_geq[(h - j) % ell] += 1
@@ -145,9 +111,9 @@ def appendixA_report(max_size):
                 for c in range(-ell + 1, ell):
                     checked += 1
                     g1, g2, gt = n1_geq[c % ell], n2_geq[c % ell], n1_gt[c % ell]
-                    want_gt = g2 - (mu.col if c == 0 else 0)
+                    want_gt = g2 - (mu[0] if mu and c == 0 else 0)
                     if g1 != g2 or gt != want_gt:
-                        failures.append({"mu": mu.to_list(), "ell": ell,
+                        failures.append({"mu": list(mu), "ell": ell,
                                          "c": c, "n1_geq": g1, "n2_geq": g2,
                                          "n1_gt": gt})
     return {"equal": not failures, "checked": checked,
@@ -165,7 +131,7 @@ def partition_sum_lhs(a, ell, n_max):
     for n in range(n_max + 1):
         for mu in enumerate_partitions(n):
             counts = colored_counts(mu, a, ell)
-            m = space.mono({"v": mu.col},
+            m = space.mono({"v": mu[0] if mu else 0},
                            **{"X%d" % b: counts[b] for b in range(ell)})
             terms[m] = terms.get(m, 0) + 1
     return Series.from_terms(space, terms)

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import errno
 import hashlib
 import importlib.util
 import io
@@ -138,11 +139,16 @@ def test_morse_payload(capsys):
 
 
 def test_morse_poincare_matches_library(capsys):
+    """The Poincare polynomial of `morse` is the q^n coefficient of the
+    product form, read off by its y-exponents."""
+    r, n = (2, 1, 1), (1, 2, 1)
     code, out, err = run_main(capsys, "morse", "--ranks", "2,1,1", "--n", "1,2,1")
     assert code == 0
-    want = localization.poincare_polynomial((2, 1, 1), (1, 2, 1))
+    want = sorted((e[0], c) for e, c in theorem_Z(r, sum(n)).terms.items()
+                  if e[1:] == n)
+    assert len(want) > 2
     assert list(json.loads(out)["poincare"].items()) == [
-        (str(e), c) for e, c in want.items()]
+        (str(e), c) for e, c in want]
 
 
 def test_fixed_points_payload_matches_per_fixed_point(capsys):
@@ -152,7 +158,7 @@ def test_fixed_points_payload_matches_per_fixed_point(capsys):
     r = (2, 2, 1)
     fps = localization.enumerate_fixed_points(r, (2, 2, 2))
     assert json.loads(out)["fixed_points"] == [
-        {"mus": [mu.to_list() for mu in fp.mus],
+        {"mus": [list(mu) for mu in fp.mus],
          "morse": localization.fixed_point_morse_index(fp, r)} for fp in fps]
 
 
@@ -223,17 +229,29 @@ def test_characters_payload(capsys):
     from_json_dict(chars["X_1_2"]["series"])
 
 
-def test_characters_output_pinned():
-    """`characters` prints the bytes it printed when each block was
-    expanded through its own wrapper (sha256, JSON and text)."""
-    argv = ["characters", "--m", "1,2", "--s", "1,2", "--max-order", "6"]
-    digests = {
-        "json": "3cf2299acf8f63edff6bcb368633069fcd0aa4fa4cbe5a758f441c0824c0b587",
-        "text": "ebbdcfc9c8245c9556c0a2e521ebf227c4800e99d9a65d44904c2552281d3009"}
+PINNED_OUTPUTS = {
+    # the bytes printed when each block was expanded through its own wrapper
+    "characters": (
+        "characters --m 1,2 --s 1,2 --max-order 6",
+        {"json": "3cf2299acf8f63edff6bcb368633069fcd0aa4fa4cbe5a758f441c0824c0b587",
+         "text": "ebbdcfc9c8245c9556c0a2e521ebf227c4800e99d9a65d44904c2552281d3009"}),
+    # the bytes printed when each diagram was a validated object
+    "fixed-points": (
+        "fixed-points --ranks 2,2,1 --n 2,2,2",
+        {"json": "c3668686c81011451208d3b930ba3ae984bad0645e5ccdd23e208bdb81960af2",
+         "text": "d439fa0b1e7af5095aae61f7d59866bf4413b70963e6b838372e273bae6d058d"}),
+}
+
+
+@pytest.mark.parametrize("line, digests", PINNED_OUTPUTS.values(),
+                         ids=PINNED_OUTPUTS.keys())
+def test_output_pinned(line, digests):
+    """The command prints the bytes of an earlier implementation (sha256,
+    JSON and text)."""
     for fmt, digest in digests.items():
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
-            assert cli.main(argv + ["--format", fmt]) == 0
+            assert cli.main(line.split() + ["--format", fmt]) == 0
         assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
 
 
@@ -417,6 +435,51 @@ def test_closed_stdout_pipe_exits_quietly():
     err = proc.stderr.read()
     assert proc.wait() == 141
     assert err == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("form", ["stdout", "out"])
+def test_full_device_is_an_output_error(form):
+    """Output that cannot be written, on stdout or through --out, exits 2
+    with one error line and no traceback, for output that fits the write
+    buffer (the error shows at the flush) and output that outgrows it."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(
+        os.path.dirname(__file__), os.pardir, "src"))
+    for line in ("spin --m 1 --s 1", "zr-closed --ranks 2,2,1 --max-order 8"):
+        argv = [sys.executable, "-m", "laumon"] + line.split()
+        with open("/dev/full", "w") as full:
+            if form == "out":
+                proc = subprocess.run(argv + ["--out", "/dev/full"],
+                                      capture_output=True, env=env)
+            else:
+                proc = subprocess.run(argv, stdout=full,
+                                      stderr=subprocess.PIPE, env=env)
+        assert proc.returncode == 2, line
+        assert proc.stderr.decode().splitlines() == [
+            "error: cannot write output: %s" % os.strerror(errno.ENOSPC)]
+
+
+def test_failed_stdout_write_is_an_output_error(tmp_path):
+    """A stdout whose write fails with ENOSPC gives one error line and
+    exit 2; stdout's descriptor is pointed at devnull for the flush at
+    exit."""
+    with open(tmp_path / "stdout", "w") as real:
+
+        class Full(io.StringIO):
+            def write(self, text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+            def fileno(self):
+                return real.fileno()
+
+        err = io.StringIO()
+        with contextlib.redirect_stdout(Full()), \
+                contextlib.redirect_stderr(err):
+            assert cli.main(["spin", "--m", "1", "--s", "1"]) == 2
+        assert err.getvalue() == "error: cannot write output: %s\n" \
+            % os.strerror(errno.ENOSPC)
+        assert os.path.samestat(os.fstat(real.fileno()),
+                                os.stat(os.devnull))
 
 
 def test_appendixB_ell_2_exit_2(capsys):
