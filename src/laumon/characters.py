@@ -6,21 +6,21 @@ s_1 < .. < s_L.  The associated rank vector lists s_L m_L times down to
 s_1 m_1 times, so that r_{ell-c} = s_i exactly when c lies in block i.
 
 Character factors are held symbolically as (y-exponent, z-exponent,
-u-exponent vector) triples and resolved to canonical (y, q) monomials
-through the rank vector, or to a separate (z, v) space with the u's kept
-formal.  Every factor denotes one inverse Pochhammer family stepped by z;
-in (y, q) each resolves to a (base, step) monomial pair, and one call of
-the series kernel's `expand` divides out the whole list.
+u-exponent vector) triples.  Every factor denotes one inverse Pochhammer
+family stepped by z; its z and u exponents make one qtilde exponent
+vector, and the list resolves and expands through
+`closed_form.expand_product`, in (y, q) through the rank vector, or at
+y = 1 and r = 0 for a (z, v) space with the u's kept formal.
 """
 
 import itertools
 from collections import namedtuple
 from operator import sub
 
-from .closed_form import qtilde_monomial, theorem_Z, u_exponents
+from .closed_form import (expand_product, qtilde_monomial, theorem_Z,
+                          u_exponents)
 from .localization import brute_force_Z
-from .series import (Series, VariableSpace, canonical_space, expand,
-                     series_diff_report)
+from .series import Series, VariableSpace, series_diff_report
 
 UZFactor = namedtuple("UZFactor", ["y", "z", "u"])
 
@@ -132,26 +132,29 @@ def betagamma_factors(b, i, j):
     return out
 
 
-def factor_base_canonical(space, r, f):
-    """Resolve one factor base to a canonical (y, q) monomial via r."""
-    ell = len(r)
+def _qtilde(f):
+    """qtilde exponent vector of the factor base z^f.z prod_c u_c^f.u[c-1]."""
+    ell = len(f.u)
     qt = [f.z] * ell
-    for idx in range(1, ell + 1):
-        e = f.u[idx - 1]
+    for c, e in enumerate(f.u, start=1):
         if e:
-            uv = u_exponents(ell, idx)
-            for k in range(ell):
-                qt[k] += e * uv[k]
-    return qtilde_monomial(space, r, qt, f.y)
+            for k, x in enumerate(u_exponents(ell, c)):
+                qt[k] += e * x
+    return qt
+
+
+def factor_base_canonical(space, r, f):
+    """Resolve one factor base to a canonical (y, q) monomial via r.
+
+    Nothing in laumon calls it: it is the base resolution of the
+    benchmark's second method for `characters` (perfbench/refs.py)."""
+    return qtilde_monomial(space, r, _qtilde(f), f.y)
 
 
 def expand_factors(b, factors, n_max):
     """Product of the factors' inverse Pochhammer families in (y, q)."""
-    r = rank_vector_from(b)
-    space = canonical_space(b.ell, n_max)
-    z = qtilde_monomial(space, r, [1] * b.ell)
-    return expand(space, [(factor_base_canonical(space, r, f), z)
-                          for f in factors])
+    return expand_product(rank_vector_from(b), n_max,
+                          [(f.y, _qtilde(f)) for f in factors])
 
 
 def render_factor(f):
@@ -267,35 +270,26 @@ def verma_space(N, n_max, v_cap=4):
     return VariableSpace(names, ("z",), n_max, caps)
 
 
-def _zv_families(space, factors):
-    """(base, step) monomials in canonical_space(N, .) of factors in the
-    (z, v) variables at y=1, under z -> q0..q{N-1} and v_c -> u_c."""
-    N = len(space.names) - 1
-    r = (0,) * N
-    z = qtilde_monomial(space, r, [1] * N)
-    return [(factor_base_canonical(space, r, f._replace(y=0)), z)
-            for f in factors]
-
-
 def _expand_zv(N, n_max, v_cap, factors):
     """Product of the factors' families at y=1 in verma_space(N, n_max,
     v_cap), exact on the whole window.
 
-    The (z, v) exponents of every factor have v exponents summing to 0, and
-    on that lattice the map of `_zv_families` is injective: q0 reads z, and
-    q_{N-k} reads z - (v_1 + .. + v_k).  On the window q0 <= n_max, and
-    q_{N-k} <= n_max + v_cap min(k, N-k), as the v's sum to 0.  No family
-    lowers a q exponent, so one expansion bounded by that box (of degree at
-    most W = N n_max + v_cap floor(N^2/4)), pulled back and cropped to the
-    window, is exact.
+    The factors expand at r = 0 and y exponent 0, under z -> q0..q{N-1}
+    and v_c -> u_c.  Their v exponents sum to 0, and on that lattice the
+    map is injective: q0 reads z, and q_{N-k} reads z - (v_1 + .. + v_k).
+    On the window q0 <= n_max, and q_{N-k} <= n_max + v_cap min(k, N-k),
+    as the v's sum to 0.  No family lowers a q exponent, so one expansion
+    bounded by that box (of degree at most W = N n_max + v_cap
+    floor(N^2/4)), pulled back and cropped to the window, is exact.
     """
     window = verma_space(N, n_max, v_cap)
-    space = canonical_space(N, N * n_max + v_cap * (N * N // 4))
     bounds = {"q0": n_max}
     bounds.update(("q%d" % (N - k), n_max + v_cap * min(k, N - k))
                   for k in range(1, N))
+    boxed = expand_product((0,) * N, N * n_max + v_cap * (N * N // 4),
+                           [(0, _qtilde(f)) for f in factors], bounds)
     terms = {}
-    for m, c in expand(space, _zv_families(space, factors), bounds).terms.items():
+    for m, c in boxed.terms.items():
         z = m[1]
         sums = [0] + [z - e for e in reversed(m[2:])] + [0]    # v_1 + .. + v_k
         v = tuple(map(sub, sums[1:], sums[:-1]))
@@ -345,8 +339,8 @@ def verify_verma_vs_X1(N, n_max=4, v_cap=4, denominator=None):
     `denominator`, if given, is affine_verma_denominator(N, n_max, v_cap)
     already computed."""
     b = BlockData((N,), (1,))
-    target = canonical_space(N, n_max)
-    mapped = expand(target, _zv_families(target, affine_verma_factors(N)))
+    mapped = expand_product((0,) * N, n_max,
+                            [(0, _qtilde(f)) for f in affine_verma_factors(N)])
     x1 = expand_factors(b, x_i_factors(b, 1), n_max)
     rep1 = series_diff_report(mapped, x1.restrict("y"))
     if denominator is None:

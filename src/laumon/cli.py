@@ -102,11 +102,14 @@ def parse_args(argv=None):
     return cfg
 
 
-def _warn_ranks(r):
+def _checked_ranks(cfg):
+    """The validated --ranks; a zero entry is allowed, with a warning."""
+    r = localization.check_ranks(cfg.ranks)
     if 0 in r:
         print("warning: rank vector %s contains a zero entry, outside the "
               "usual assumption that every rank is positive" % (list(r),),
               file=sys.stderr)
+    return r
 
 
 def _series_out(s):
@@ -145,34 +148,28 @@ def _verify_out(title, rep):
 
 
 def _h_zr_brute(cfg):
-    r = localization.check_ranks(cfg.ranks)
-    _warn_ranks(r)
-    return _series_out(localization.brute_force_Z(r, cfg.max_order))
+    return _series_out(localization.brute_force_Z(_checked_ranks(cfg),
+                                                   cfg.max_order))
 
 
 def _h_zr_closed(cfg):
-    r = localization.check_ranks(cfg.ranks)
-    _warn_ranks(r)
-    return _series_out(closed_form.theorem_Z(r, cfg.max_order))
+    return _series_out(closed_form.theorem_Z(_checked_ranks(cfg),
+                                              cfg.max_order))
 
 
 def _h_zr_u(cfg):
-    r = localization.check_ranks(cfg.ranks)
-    _warn_ranks(r)
-    return _series_out(closed_form.theorem_Z_u(r, cfg.max_order))
+    return _series_out(closed_form.theorem_Z_u(_checked_ranks(cfg),
+                                                cfg.max_order))
 
 
 def _h_verify_thm(cfg):
-    r = localization.check_ranks(cfg.ranks)
-    _warn_ranks(r)
-    rep = closed_form.verify_theorem_Z(r, cfg.max_order)
+    rep = closed_form.verify_theorem_Z(_checked_ranks(cfg), cfg.max_order)
     return _verify_out("product form vs localization", rep)
 
 
 def _h_verify_prop34(cfg):
-    r = localization.check_ranks(cfg.ranks)
-    _warn_ranks(r)
-    rep = closed_form.verify_change_of_variables(r, cfg.max_order)
+    rep = closed_form.verify_change_of_variables(_checked_ranks(cfg),
+                                                 cfg.max_order)
     return _verify_out("u-variable vs qtilde product", rep)
 
 
@@ -188,9 +185,7 @@ def _h_verify_appendixA(cfg):
 
 
 def _h_verify_appendixB(cfg):
-    r = localization.check_ranks(cfg.ranks)
-    _warn_ranks(r)
-    rep = closed_form.verify_appendixB(r, cfg.max_order)
+    rep = closed_form.verify_appendixB(_checked_ranks(cfg), cfg.max_order)
     return _verify_out("off-diagonal rearrangement chain", rep)
 
 
@@ -200,8 +195,7 @@ def _h_verify_lemma32(cfg):
 
 
 def _h_fixed_points(cfg):
-    r = localization.check_ranks(cfg.ranks)
-    _warn_ranks(r)
+    r = _checked_ranks(cfg)
     n = localization.check_occupation(cfg.n, len(r))
     fps = localization.enumerate_fixed_points(r, n)
     entries = [{"mus": [list(mu) for mu in fp.mus], "morse": w}
@@ -217,8 +211,7 @@ def _h_fixed_points(cfg):
 
 
 def _h_morse(cfg):
-    r = localization.check_ranks(cfg.ranks)
-    _warn_ranks(r)
+    r = _checked_ranks(cfg)
     n = localization.check_occupation(cfg.n, len(r))
     fps = localization.enumerate_fixed_points(r, n)
     entries = []
@@ -247,8 +240,7 @@ def _h_morse(cfg):
 
 
 def _h_tangent(cfg):
-    r = localization.check_ranks(cfg.ranks)
-    _warn_ranks(r)
+    r = _checked_ranks(cfg)
     n = localization.check_occupation(cfg.n, len(r))
     fps = localization.enumerate_fixed_points(r, n)
 

@@ -7,8 +7,9 @@ from shifted variables qtilde_a = y^(2 r_a) q_a, their cyclic products
 z = qtilde_0 * .. * qtilde_{ell-1}, and the telescoping combinations
 u_c = prod_{b=c}^{ell-1} qtilde_{-b}^(-1) with u_ell = 1.  A product is
 held as a list of (y_exp, qtilde exponents) factors, each standing for the
-inverse Pochhammer family of that base stepped by z; it resolves to
-(base, step) monomials and is expanded by one call of `series.expand`.
+inverse Pochhammer family of that base stepped by z; `expand_product`
+resolves the list to (base, step) monomials and expands it by one call of
+`series.expand`.
 """
 
 from .localization import check_ranks
@@ -38,26 +39,17 @@ def u_exponents(ell, c):
     """qtilde exponent vector of u_c; empty for c = ell."""
     if not 1 <= c <= ell:
         raise ValueError("u index %d out of range 1..%d" % (c, ell))
-    return _add(z_over_tail(ell, 0, c), [-1] * ell)
+    return [e - 1 for e in z_over_tail(ell, 0, c)]
 
 
-def _add(*vecs):
-    out = [0] * len(vecs[0])
-    for v in vecs:
-        for i, e in enumerate(v):
-            out[i] += e
-    return out
-
-
-def _neg(v):
-    return [-e for e in v]
-
-
-def qtilde_families(space, r, factors):
-    """(base, step) monomials of the families (m)_inf^(-1) stepped by z,
-    one per factor pair (y_exp, qt_exps)."""
+def expand_product(r, n_max, factors, bounds=None):
+    """Product over the (y_exp, qt_exps) factors of the families
+    (y^y_exp prod_a qtilde_a^qt_exps[a])_inf^(-1) stepped by z, expanded in
+    canonical_space(len(r), n_max); `bounds` as in `series.expand`."""
+    space = canonical_space(len(r), n_max)
     z = qtilde_monomial(space, r, [1] * len(r))
-    return [(qtilde_monomial(space, r, qt, y_exp), z) for y_exp, qt in factors]
+    return expand(space, [(qtilde_monomial(space, r, qt, y_exp), z)
+                          for y_exp, qt in factors], bounds)
 
 
 def theorem_Z(r, n_max):
@@ -69,7 +61,6 @@ def theorem_Z(r, n_max):
     """
     r = check_ranks(r)
     ell = len(r)
-    space = canonical_space(ell, n_max)
     ones = [1] * ell
     factors = []
     for a in range(ell):
@@ -77,7 +68,7 @@ def theorem_Z(r, n_max):
             factors.append((-2 * t, ones))
             for c in range(1, ell):
                 factors.append((-2 * t, z_over_tail(ell, a, c)))
-    return expand(space, qtilde_families(space, r, factors))
+    return expand_product(r, n_max, factors)
 
 
 def theorem_Z_u(r, n_max):
@@ -90,39 +81,34 @@ def theorem_Z_u(r, n_max):
     """
     r = check_ranks(r)
     ell = len(r)
-    space = canonical_space(ell, n_max)
     ones = [1] * ell
     factors = []
     for a in range(ell):
         for t in range(1, r[a] + 1):
             factors.append((-2 * t, ones))
     factors += _u_pair_factors(r, ell)
-    return expand(space, qtilde_families(space, r, factors))
+    return expand_product(r, n_max, factors)
 
 
 def _u_pair_factors(r, top):
     """theorem_Z_u's pair families of every a < c <= top."""
     ell = len(r)
-    ones = [1] * ell
     factors = []
     for a in range(1, top + 1):
         ua = u_exponents(ell, a)
         for c in range(a + 1, top + 1):
             uc = u_exponents(ell, c)
             for t in range(1, r[ell - c] + 1):
-                factors.append((-2 * t, _add(ones, ua, _neg(uc))))
+                factors.append((-2 * t, [1 + x - y for x, y in zip(ua, uc)]))
             for t in range(1, r[ell - a] + 1):
-                factors.append((-2 * t, _add(_neg(ua), uc)))
+                factors.append((-2 * t, [y - x for x, y in zip(ua, uc)]))
     return factors
 
 
-def verify_theorem_Z(r, n_max, brute=None):
+def verify_theorem_Z(r, n_max):
     """Check the qtilde product form against the localization sum."""
     from .localization import brute_force_Z
-    if brute is None:
-        brute = brute_force_Z(r, n_max)
-    closed = theorem_Z(r, n_max)
-    return series_diff_report(brute, closed)
+    return series_diff_report(brute_force_Z(r, n_max), theorem_Z(r, n_max))
 
 
 def verify_change_of_variables(r, n_max):
@@ -171,12 +157,11 @@ def _appendixB_lhs_factors(r):
 
 def _appendixB_split_factors(r):
     ell = len(r)
-    ones = [1] * ell
     factors = []
     for a in range(1, ell):
         for c in range(a + 1, ell):
             qt = z_over_tail(ell, a, c)
-            pos = _add(ones, _neg(qt))
+            pos = [1 - e for e in qt]
             for t in range(1, r[a] + 1):
                 factors.append((-2 * t, qt))
             for t in range(1, r[a - c + ell] + 1):
@@ -201,8 +186,7 @@ def verify_appendixB(r, n_max):
     if not any(forms.values()):
         raise ValueError("ranks %s have no off-diagonal factors to compare"
                          % (list(r),))
-    space = canonical_space(len(r), n_max)
-    lhs, split, uform = (expand(space, qtilde_families(space, r, factors))
+    lhs, split, uform = (expand_product(r, n_max, factors)
                          for factors in forms.values())
     checks = [
         ("raw_vs_split", series_diff_report(lhs, split)),

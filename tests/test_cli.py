@@ -240,6 +240,21 @@ PINNED_OUTPUTS = {
         "fixed-points --ranks 2,2,1 --n 2,2,2",
         {"json": "c3668686c81011451208d3b930ba3ae984bad0645e5ccdd23e208bdb81960af2",
          "text": "d439fa0b1e7af5095aae61f7d59866bf4413b70963e6b838372e273bae6d058d"}),
+    # the bytes printed when each product form resolved its own families:
+    # u-pair factors with a zero rank, the (z, v) expansion past the golden
+    # fixtures' N <= 3, and multi-u factors over three blocks
+    "zr-u": (
+        "zr-u --ranks 1,0,2 --max-order 6",
+        {"json": "fee048c0c1568a0bef10e2d5b5c9e77cfe9fa53ebaa6cd371ec87908048c632a",
+         "text": "b8a5c41d16eb2c13f58d9c83f7c8876f3221adc7387a20df53486633f06a91c9"}),
+    "verma-denominator": (
+        "verma-denominator --size 4 --max-order 6 --v-cap 4",
+        {"json": "410cf6be18c4c5aaf2db3e7433c199360afd1e8f8df8d6975a8b3e409816ea2d",
+         "text": "4acb8ba7e92e56dfd9345e5447d38c20cfb2fea2706f93dfe8afb430ead7d032"}),
+    "characters-three-blocks": (
+        "characters --m 2,1,1 --s 1,2,4 --max-order 6",
+        {"json": "aa25ab6c5230167a038bc79642bf22a602083520a349c75de30fbc09bc0c8886",
+         "text": "1be6f9aac3278ef08dc90514678986b2401ccfe60d3688e1a913074552da7cc8"}),
 }
 
 
@@ -274,6 +289,21 @@ def test_benchmark_trace_targets_resolve():
             assert callable(getattr(mod, attr, None)), (module, attr)
     # the tracer also rebinds the entries of the handler table
     assert set(cli._HANDLERS) == set(cli.COMMANDS)
+
+
+def test_benchmark_second_method_for_characters(monkeypatch):
+    """The benchmark's reference for a `characters` line, expanded by its
+    own division over `characters.factor_base_canonical` bases, still
+    resolves and matches the stored digest."""
+    monkeypatch.syspath_prepend(os.path.join(
+        os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench"))
+    import refs
+    import tracing
+    line = "characters --m 1,2 --s 1,2 --max-order 6"
+    out = refs.expected_output(tracing.load_laumon(refs.ROOT), line.split())
+    with open(refs.REFS) as fh:
+        want = json.load(fh)["ops"][line]["sha256"]
+    assert hashlib.sha256(out).hexdigest() == want
 
 
 def test_spin_payload(capsys):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from laumon.closed_form import (theorem_Z, theorem_Z_u, u_exponents,
                                 verify_appendixB, verify_change_of_variables,
                                 verify_partition_identity, verify_theorem_Z)
+from laumon import localization
 from laumon.localization import brute_force_Z
 from laumon.series import Series
 
@@ -96,8 +97,11 @@ def test_appendixB():
     assert verify_appendixB((2, 2, 1), 3)["equal"]
 
 
-def test_report_structure_on_difference():
-    rep = verify_theorem_Z((1, 1), 2, brute=theorem_Z((1, 1), 2) + 1)
+def test_report_structure_on_difference(monkeypatch):
+    # a wrong localization side; verify_theorem_Z looks it up at call time
+    monkeypatch.setattr(localization, "brute_force_Z",
+                        lambda r, n: theorem_Z(r, n) + 1)
+    rep = verify_theorem_Z((1, 1), 2)
     assert rep["equal"] is False
     assert rep["first_diff"]["exp"] == {}
     assert rep["first_diff"]["lhs"] == "2"
