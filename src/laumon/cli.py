@@ -27,7 +27,11 @@ from .series import SeriesError
 
 
 def _csv_ints(text):
-    return tuple(int(p) for p in text.split(","))
+    try:
+        return tuple(int(p) for p in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "expected comma-separated integers, got %r" % text)
 
 
 def _ranks(p):

@@ -75,12 +75,6 @@ class FixedPoint:
                 n[b] += cc[b]
         return tuple(n)
 
-    def __eq__(self, other):
-        return isinstance(other, FixedPoint) and self.mus == other.mus
-
-    def __hash__(self):
-        return hash(self.mus)
-
     def __repr__(self):
         return "FixedPoint(%r)" % (tuple(map(list, self.mus)),)
 

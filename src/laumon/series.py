@@ -8,16 +8,16 @@ them, but cropping to a cap is not a ring map, so the products (`__mul__`,
 `expand`) and `substitute` refuse a capped space.
 
 Monomials are exponent tuples aligned with the variable order.  Series
-coefficients are arbitrary-precision integers.  The two product kernels,
-`Series.__mul__` and `expand`, pack each exponent tuple into one
-mixed-radix integer, so a monomial product is one integer addition; tuples
-come back only in the result's terms.  Products of inverse
-Pochhammer families are expanded by dividing by each factor (1 - m) in
-place, which only ever adds coefficients; no integer division occurs.
-`expand` also takes upper bounds on the exponents of variables that no
-family lowers, and then drops each term as soon as it leaves that box,
-which is exact because those exponents only grow; a bounded digit carries
-a guard bit, so the test is one AND on the packed key.
+coefficients are arbitrary-precision integers; `+`, `-` and `*` take Series
+of one space only.  The two product kernels, `Series.__mul__` and `expand`,
+pack each exponent tuple into one mixed-radix integer, so a monomial
+product is one integer addition; tuples come back only in the result's
+terms.  Products of inverse Pochhammer families are expanded by dividing by
+each factor (1 - m) in place, which only ever adds coefficients; no integer
+division occurs.  `expand` also takes upper bounds on the exponents of
+variables that no family lowers, and then drops each term as soon as it
+leaves that box, which is exact because those exponents only grow; a
+bounded digit carries a guard bit, so the test is one AND per packed key.
 """
 
 from collections.abc import Iterator
@@ -200,16 +200,8 @@ class Series:
         return cls(space, {m: c for m, c in clean.items() if c})
 
     @classmethod
-    def zero(cls, space):
-        return cls(space, {})
-
-    @classmethod
-    def one(cls, space, coeff=1):
-        return cls.from_terms(space, {space.unit(): coeff})
-
-    @classmethod
-    def monomial(cls, space, m, coeff=1):
-        return cls.from_terms(space, {tuple(m): coeff})
+    def one(cls, space):
+        return cls.from_terms(space, {space.unit(): 1})
 
     def _require_same(self, other):
         if not isinstance(other, Series):
@@ -218,8 +210,6 @@ class Series:
             raise SeriesError("mismatched spaces: %r vs %r" % (self.space, other.space))
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = Series.one(self.space, other)
         self._require_same(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
@@ -230,21 +220,13 @@ class Series:
                 del out[m]
         return Series(self.space, out)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return Series(self.space, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = Series.one(self.space, other)
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            if other == 0:
-                return Series.zero(self.space)
-            return Series(self.space, {m: c * other for m, c in self.terms.items()})
         self._require_same(other)
         sp = self.space
         if sp.caps:
@@ -274,8 +256,6 @@ class Series:
         del a, b    # the packed operands; unpacking sets the peak memory
         return Series(sp, {m: c for m, c in zip(keys.unpack(out), out.values())
                            if c})
-
-    __rmul__ = __mul__
 
     def __eq__(self, other):
         return (isinstance(other, Series)

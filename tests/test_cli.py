@@ -255,6 +255,12 @@ PINNED_OUTPUTS = {
         "characters --m 2,1,1 --s 1,2,4 --max-order 6",
         {"json": "aa25ab6c5230167a038bc79642bf22a602083520a349c75de30fbc09bc0c8886",
          "text": "1be6f9aac3278ef08dc90514678986b2401ccfe60d3688e1a913074552da7cc8"}),
+    # the bytes printed when criterion 4 also compared the one-block
+    # W-character with Z itself, the comparison verify_WZ makes on BLOCKS[0]
+    "acceptance": (
+        "acceptance",
+        {"json": "77dddbeb80c1cd120e99d11ca9fa8c31ef3f79564d393f0d1310f06752c1ca07",
+         "text": "3cd6dddd5a061db9c64ad8c6c1a00ae006c1c66b3cb767f29f175a6e4d818f4e"}),
 }
 
 
@@ -306,6 +312,23 @@ def test_benchmark_second_method_for_characters(monkeypatch):
     assert hashlib.sha256(out).hexdigest() == want
 
 
+def test_benchmark_verma_crop_and_second_methods_resolve(monkeypatch):
+    """The benchmark's references still run against laumon: its Verma crop
+    check (a `Series.from_terms` crop to caps of two `verma_space` series),
+    and every (module, name) its second methods patch in with
+    `mock.patch.object`, which needs each name to exist."""
+    monkeypatch.syspath_prepend(os.path.join(
+        os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench"))
+    import refs
+    import tracing
+    mods = tracing.load_laumon(refs.ROOT)
+    refs.check_verma_crop(mods)
+    methods = refs._second_methods(mods)
+    assert methods
+    for module, name, _ in methods.values():
+        assert callable(getattr(module, name, None)), (module.__name__, name)
+
+
 def test_spin_payload(capsys):
     code, out, err = run_main(capsys, "spin", "--m", "1,1", "--s", "1,2")
     assert code == 0
@@ -348,6 +371,20 @@ def test_bad_ranks_exit_2(capsys):
     code, out, err = run_main(capsys, "zr-closed", "--ranks", "1")
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv, bad", [
+    (("zr-closed", "--ranks", "1,x"), "--ranks: expected "
+     "comma-separated integers, got '1,x'"),
+    (("fixed-points", "--ranks", "1,1", "--n", "1,,1"), "--n: expected "
+     "comma-separated integers, got '1,,1'"),
+    (("spin", "--m", "a", "--s", "1"), "--m: expected comma-separated "
+     "integers, got 'a'"),
+], ids=["ranks", "n", "m"])
+def test_malformed_integer_list_is_a_usage_error(capsys, argv, bad):
+    code, out, err = run_main(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.rstrip().endswith("error: argument " + bad)
 
 
 def test_zero_rank_warning(capsys):

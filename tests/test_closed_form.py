@@ -99,8 +99,10 @@ def test_appendixB():
 
 def test_report_structure_on_difference(monkeypatch):
     # a wrong localization side; verify_theorem_Z looks it up at call time
-    monkeypatch.setattr(localization, "brute_force_Z",
-                        lambda r, n: theorem_Z(r, n) + 1)
+    def plus_one(r, n):
+        z = theorem_Z(r, n)
+        return z + Series.one(z.space)
+    monkeypatch.setattr(localization, "brute_force_Z", plus_one)
     rep = verify_theorem_Z((1, 1), 2)
     assert rep["equal"] is False
     assert rep["first_diff"]["exp"] == {}
