@@ -62,11 +62,12 @@ def _v_cap(p):
                         "(default 4)")
 
 
-def _order(default):
+def _order(default, least=0):
     def add(p):
         p.add_argument("--max-order", type=int, default=default,
                        dest="max_order", metavar="N",
                        help="truncation order (default %d)" % default)
+        p.set_defaults(least_order=least)
     return add
 
 
@@ -101,8 +102,10 @@ def parse_args(argv=None):
     first = argv[0] if argv else None
     ap = build_parser([first] if first in COMMANDS else COMMANDS)
     cfg = ap.parse_args(argv)
-    if getattr(cfg, "max_order", 0) < 0:
-        ap.error("--max-order must be >= 0")
+    least = getattr(cfg, "least_order", 0)
+    if getattr(cfg, "max_order", 0) < least:
+        ap.error("--max-order must be >= %d" % least + (
+            ": order 0 compares only the constant 1" if least else ""))
     return cfg
 
 
@@ -352,17 +355,17 @@ COMMANDS = {
     "zr-u": ("generating function as a u-variable product",
              (_ranks, _order(4)), _h_zr_u),
     "verify-thm": ("check the qtilde product against localization",
-                   (_ranks, _order(4)), _h_verify_thm),
+                   (_ranks, _order(4, 1)), _h_verify_thm),
     "verify-prop34": ("check the u-variable product against the qtilde one",
-                      (_ranks, _order(4)), _h_verify_prop34),
+                      (_ranks, _order(4, 1)), _h_verify_prop34),
     "verify-wz": ("check the W-character factorization of Z",
-                  (_blocks, _order(4)), _h_verify_wz),
+                  (_blocks, _order(4, 1)), _h_verify_wz),
     "verify-appendixA": ("box-count bijections over a partition grid",
                          (_order(12),), _h_verify_appendixA),
     "verify-appendixB": ("off-diagonal product rearrangement chain",
-                         (_ranks, _order(4)), _h_verify_appendixB),
+                         (_ranks, _order(4, 1)), _h_verify_appendixB),
     "verify-lemma32": ("colored partition-sum identity over a grid",
-                       (_order(6),), _h_verify_lemma32),
+                       (_order(6, 1),), _h_verify_lemma32),
     "fixed-points": ("list fixed points of one component",
                      (_ranks, _occupation), _h_fixed_points),
     "morse": ("Morse indices, both ways, plus the Poincare polynomial",

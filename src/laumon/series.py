@@ -9,21 +9,23 @@ them, but cropping to a cap is not a ring map, so the products (`__mul__`,
 
 Monomials are exponent tuples aligned with the variable order.  Series
 coefficients are arbitrary-precision integers; `+`, `-` and `*` take Series
-of one space only.  The two product kernels, `Series.__mul__` and `expand`,
-pack each exponent tuple into one mixed-radix integer, so a monomial
-product is one integer addition; tuples come back only in the result's
-terms.  Products of inverse Pochhammer families are expanded by dividing by
-each factor (1 - m) in place, which only ever adds coefficients; no integer
-division occurs.  `expand` also takes upper bounds on the exponents of
+of one space only.  The product kernels pack exponents into mixed-radix
+integers, so a monomial product is one integer addition; tuples come back
+only in the result's terms.  `expand` packs all variables but one, the
+limb, whose polynomial at a key is one integer of fixed-width slots.  It
+divides by each inverse Pochhammer factor (1 - m) in place, which only
+adds, so no slot carries.  It also takes upper bounds on the exponents of
 variables that no family lowers, and then drops each term as soon as it
 leaves that box, which is exact because those exponents only grow; a
 bounded digit carries a guard bit, so the test is one AND per packed key.
 """
 
 from collections.abc import Iterator
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, compress, repeat
 from json.encoder import encode_basestring_ascii
+from math import gcd
 from operator import add, itemgetter
+from struct import Struct
 
 
 class SeriesError(Exception):
@@ -114,10 +116,10 @@ class _Packing:
 
     The key of m with offsets o is sum (m_i - o_i) * w_i.  The digits are
     laid out in `order` (by default the variable order): the first has
-    weight 1, and each next weight is the last one times its radix
-    hi - lo + 1.  With offsets lo every digit fits its radix, so no carry
-    crosses digits and unpack() reads m back.  Keys add:
-    key(m1, o1) + key(m2, o2) = key(m1 + m2, o1 + o2), so a monomial product
+    weight 1, each next one the last times its radix hi - lo + 1, and one
+    left out weight 0, unpacking as its lo.  With offsets lo every digit
+    fits its radix, so no carry crosses digits and unpack() reads m back.  Keys
+    add: key(m1, o1) + key(m2, o2) = key(m1 + m2, o1 + o2), so a monomial product
     is one integer addition as long as the product lies in range.
     """
 
@@ -143,7 +145,7 @@ class _Packing:
 
     def unpack(self, keys):
         """The exponent tuple of each key (a collection), with offsets lo."""
-        cols = [None] * len(self.lo)
+        cols = [repeat(o, len(keys)) for o in self.lo]
         for i in self.order:
             o, r = self.lo[i], self.radix[i]
             cols[i] = [k % r + o for k in keys]
@@ -329,6 +331,20 @@ def expand(space, families, bounds=None):
     Truncation by graded degree is a ring map only without caps, so a
     capped space is refused; every base and step needs graded degree >= 1.
 
+    The limb is the first ungraded, unbounded variable that a family moves,
+    its exponents all multiples of g.  A bucket maps the packed key of the
+    other variables to one integer: its slot i, of B bits or more, holds the
+    coefficient at limb exponent g * (i - beta * degree), beta the least
+    integer with e/g + beta*d >= 0 at every base and step (e its limb
+    exponent, d its degree).  So every factor, and every product of them,
+    moves the slots left, and dividing by a factor is one shifted add per
+    key.  Without a limb there is one slot and every shift is 0.  No slot
+    carries into the next: every coefficient is >= 0, as the division only
+    adds; a partial product's coefficient is at most the final one, as the
+    factors left are 1 + (terms >= 0); and that is at most the coefficient
+    at its degree of the univariate image (graded variables -> t, the others
+    -> 1), whose largest coefficient has bit length B.
+
     `bounds` maps variables to upper bounds on their exponents, and the
     result is then the full expansion cropped to that box.  Every base and
     step needs exponents >= 0 in a bounded variable, so that exponents only
@@ -371,12 +387,18 @@ def expand(space, families, bounds=None):
         k = b.bit_length()
         lo[i] = b + 1 - (1 << k)
         hi[i] = lo[i] + (2 << k) - 1
+    limb = next((i for i in range(len(unit)) if i not in space._gidx
+                 and i not in bounded and any(b[i] or s[i] for b, s in fams)),
+                None)
     keys = _Packing(tuple(lo), tuple(hi), sorted(bounded) + [
-        i for i in range(len(unit)) if i not in bounded])
+        i for i in range(len(unit)) if i not in bounded and i != limb])
     # the top bit of every bounded digit: a key in the box has none set
     guard = sum(keys.weights[i] << b.bit_length() for i, b in bounded.items())
-    buckets = [{} for _ in range(trunc + 1)]
-    buckets[0][keys.pack([unit], keys.lo)[0]] = 1
+    ey = (lambda m: 0) if limb is None else itemgetter(limb)
+    g = gcd(*(ey(m) for f in fams for m in f)) or 1
+    beta = max((-(ey(m) // g // space.gdeg(m)) for f in fams for m in f), default=0)
+    plan = []
+    img = [1] + [0] * trunc    # the univariate image
     for base, step in fams:
         # balanced-digit keys (offsets 0): adding one multiplies by it
         m, dm = keys.pack([base, step], unit)
@@ -387,26 +409,46 @@ def expand(space, families, bounds=None):
                 count = min(count, (b - base[i]) // step[i] + 1)
             elif base[i] > b:
                 count = 0
+        plan.append((m, dm, ey(base) // g + beta * d,
+                     ey(step) // g + beta * dd, d, dd, count))
+        for e in range(d, d + count * dd, dd):
+            for deg in range(trunc - e + 1):
+                img[deg + e] += img[deg]
+    # a slot: B bits rounded up to 1, 2, 4 or 8 bytes or k 8-byte words, for struct
+    nbytes = 1 << max(0, (max(img).bit_length() - 1).bit_length() - 3)
+    size, k = 8 * nbytes, max(1, nbytes // 8)
+    fmt = "BHIQ"[min(nbytes, 8).bit_length() - 1]
+    buckets = [{} for _ in range(trunc + 1)]
+    buckets[0][keys.pack([unit], keys.lo)[0]] = 1
+    for m, dm, s, ds, d, dd, count in plan:
+        s, ds = s * size, ds * size
         for _ in range(count):
             for deg in range(trunc - d + 1):
                 dst = buckets[deg + d]
                 get = dst.get
-                # unbounded products skip the test: on keys of several
-                # machine words an AND per term is not free
-                if guard:
-                    for x, c in buckets[deg].items():
-                        x += m
-                        if not x & guard:
-                            dst[x] = get(x, 0) + c
-                else:
-                    for x, c in buckets[deg].items():
-                        x += m
-                        dst[x] = get(x, 0) + c
+                for x, c in buckets[deg].items():
+                    x += m
+                    if not x & guard:
+                        dst[x] = get(x, 0) + (c << s)
             m += dm
+            s += ds
             d += dd
     terms = {}
-    for b in buckets:
-        terms.update(zip(keys.unpack(b), b.values()))
+    for deg, b in enumerate(buckets):
+        if limb is None:    # one slot: a value is its coefficient
+            terms.update(zip(keys.unpack(b), b.values()))
+        else:
+            n = max(b.values(), default=0).bit_length() // size + 1    # slots
+            cells = [(y,) for y in range(-g * beta * deg, g * (n - beta * deg), g)]
+            read = Struct("<%d%s" % (n * k, fmt)).unpack
+            for v, t in zip(b.values(), keys.unpack(b)):
+                words = read(v.to_bytes(n * nbytes, "little"))
+                slots = words[::k]
+                for j in range(1, k):
+                    slots = [a + (w << 64 * j) for a, w in zip(slots, words[j::k])]
+                monos = map(add, map(add, repeat(t[:limb]), compress(cells, slots)),
+                            repeat(t[limb + 1:]))    # of the nonzero slots only
+                terms.update(zip(monos, compress(slots, slots)))
         b.clear()
     return Series(space, terms)
 

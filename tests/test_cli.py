@@ -401,12 +401,20 @@ def test_negative_order_exit_2(capsys):
                 "verify-appendixA": (), "verify-lemma32": ()}
     commands = ("zr-brute", "zr-closed", "zr-u", "verify-thm",
                 "verify-prop34", "verify-appendixB") + tuple(operands)
+    # at order 0 these checks would compare only the constant 1
+    unit_only = {"verify-thm", "verify-prop34", "verify-wz",
+                 "verify-appendixB", "verify-lemma32"}
     for command in commands:
         argv = (command,) + operands.get(command, ("--ranks", "1,1"))
-        assert run_main(capsys, *argv, "--max-order", "0")[0] == 0, command
+        least = 1 if command in unit_only else 0
+        code, out, err = run_main(capsys, *argv, "--max-order", "0")
+        assert code == 2 * least, command
+        if least:
+            assert out == ""
+            assert "--max-order must be >= 1: order 0 compares only" in err
         code, out, err = run_main(capsys, *argv, "--max-order", "-3")
         assert (code, out) == (2, ""), command
-        assert "--max-order must be >= 0" in err
+        assert "--max-order must be >= %d" % least in err
 
 
 def test_module_entry_point():

@@ -349,6 +349,52 @@ def test_expand_equals_tuple_pochhammer_product(case):
     assert expand(space, fams) == want
 
 
+_Y_PLUS, _Y_MINUS = (1, 1), (-1, 1)
+_MIXED = VariableSpace(("q0", "y", "v", "q1"), ("q0", "q1"), 5)
+
+
+# (space, families, bounds) at the edges of the limb layout in `expand`
+LIMB_EDGES = {
+    # 50 factors 1/(1 - y q0) and 50 of 1/(1 - y^-1 q0): the coefficient
+    # of q0^20 is about 2^78, so a slot spans two 64-bit words
+    "past_2^64": (canonical_space(1, 20),
+                  [(_Y_PLUS, (0, 21))] * 50 + [(_Y_MINUS, (0, 21))] * 50, None),
+    # y moves in steps of 2 (of 3), down along one family and up along the
+    # other, so the slots of a degree start below the unit's
+    "stride_2": (canonical_space(2, 6), [((2, 1, 0), (-4, 0, 1)),
+                                         ((-6, 0, 1), (2, 1, 1))], None),
+    "stride_3": (canonical_space(2, 6), [((3, 1, 0), (-6, 1, 1)),
+                                         ((-3, 0, 1), (9, 1, 0))], None),
+    # 1/(1 - y q0)^2: the univariate image peaks at 256 = 2^8, one bit past
+    # a byte, at degree 255, where one slot holds all of it
+    "image_2^8": (canonical_space(1, 255), [(_Y_PLUS, (0, 256))] * 2, None),
+    # y never moves and the q's are bounded, as in the (z, v) expansions
+    "still_limb_bounded": (canonical_space(3, 9),
+                           [((0, 1, 0, 0), (0, 1, 1, 1)),
+                            ((0, 0, 1, 1), (0, 1, 1, 1)),
+                            ((0, 1, 1, 0), (0, 0, 0, 1))], {"q0": 3, "q2": 4}),
+    # the limb y sits between graded variables; v, also ungraded, is packed
+    "inner_limb": (_MIXED, [((1, -2, 1, 0), (0, 3, 0, 1)),
+                            ((0, 1, -1, 1), (1, -1, 0, 1))], {"q1": 3}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIMB_EDGES))
+def test_expand_limb_edge_cases(name):
+    space, fams, bounds = LIMB_EDGES[name]
+    want = Series.one(space)
+    for base, step in fams:
+        want = want * pochhammer_inverse(space, base, step)
+    box = [(space.index[n], b) for n, b in (bounds or {}).items()]
+    want = Series.from_terms(space, {m: c for m, c in want.terms.items()
+                                     if all(m[i] <= b for i, b in box)})
+    assert expand(space, fams, bounds) == want
+    if name == "past_2^64":
+        assert max(want.terms.values()) > 2 ** 64
+    if name == "image_2^8":
+        assert want.coefficient((255, 255)) == 256
+
+
 def test_substitute_is_homomorphism():
     rng = random.Random(13)
     src = space2(3)
