@@ -140,10 +140,14 @@ def _verify_text(title, rep):
         lines.append("  localization cross-check: %s"
                      % ("PASS" if rep.get("brute_equal") else "FAIL"))
         lines.append("    coefficients compared: %d" % rep["brute_coefficients"])
+        if "brute_first_diff" in rep:
+            lines.append("    first diff: %s" % json.dumps(rep["brute_first_diff"]))
     if "coefficients" in rep:
         lines.append("  coefficients compared: %d" % rep["coefficients"])
     if "checked" in rep:
         lines.append("  cases checked: %d" % rep["checked"])
+    if rep.get("failures"):
+        lines.append("  first failure: %s" % json.dumps(rep["failures"][0]))
     if "families" in rep:
         lines.append("  factor families: %s" % json.dumps(rep["families"]))
     return lines
@@ -240,8 +244,9 @@ def _h_morse(cfg):
         lines += ["mus=%s formula=%d oracle=%d"
                   % (json.dumps(e["mus"]), e["formula"], e["oracle"])
                   for e in entries]
-        lines.append("poincare: " + " + ".join(
-            "%d*y^%d" % (c, e) if e else str(c) for e, c in poincare.items()))
+        lines.append("poincare: " + (" + ".join(
+            "%d*y^%d" % (c, e) if e else str(c)
+            for e, c in poincare.items()) or "0"))
         return "\n".join(lines)
     return 0, payload, text
 

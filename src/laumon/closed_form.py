@@ -52,22 +52,26 @@ def expand_product(r, n_max, factors, bounds=None):
                           for y_exp, qt in factors], bounds)
 
 
+def _residue_bases(ell, a):
+    """Lemma 3.2's qtilde exponent vectors for residue a: z, then
+    z * prod_{b=c}^{ell-1} qtilde_{a-b}^(-1) for c in 1..ell-1."""
+    return [[1] * ell] + [z_over_tail(ell, a, c) for c in range(1, ell)]
+
+
 def theorem_Z(r, n_max):
     """Product form of the generating function in the qtilde variables.
 
-    One factor family (y^(-2t) z^k)_inf^(-1) per pair (a, t<=r_a), plus for
-    each residue c in 1..ell-1 the family with base
-    y^(-2t) z * prod_{b=c}^{ell-1} qtilde_{a-b}^(-1).
+    Lemma 3.2's families of each residue a, with bases times y^(-2t) for
+    each t <= r_a: (y^(-2t) z^k)_inf^(-1), and for each c in 1..ell-1 the
+    family with base y^(-2t) z * prod_{b=c}^{ell-1} qtilde_{a-b}^(-1).
     """
     r = check_ranks(r)
     ell = len(r)
-    ones = [1] * ell
     factors = []
     for a in range(ell):
+        bases = _residue_bases(ell, a)
         for t in range(1, r[a] + 1):
-            factors.append((-2 * t, ones))
-            for c in range(1, ell):
-                factors.append((-2 * t, z_over_tail(ell, a, c)))
+            factors += [(-2 * t, qt) for qt in bases]
     return expand_product(r, n_max, factors)
 
 
@@ -117,20 +121,14 @@ def verify_change_of_variables(r, n_max):
 
 
 def verify_partition_identity(a, ell, n_max):
-    """Check the colored-partition sum against its product form.
-
-    The sum side runs over all partitions of size <= n_max, each weighted
-    v^(number of columns) times the product of one X per box, colored by
-    row.  The product side is (v z^k)_inf^(-1) times, for each c in
-    1..ell-1, (v z^k prod_{b=c}^{ell-1} X_{a-b}^(-1))_inf^(-1), where
-    z = X_0 * .. * X_{ell-1}.
+    """Check Lemma 3.2: the colored partition sum `partition_sum_lhs`
+    against its product side, the families of residue a with base times y
+    at ranks 0, where qtilde_b = q_b: (y z^k)_inf^(-1) times, for each c in
+    1..ell-1, (y z^k prod_{b=c}^{ell-1} q_{a-b}^(-1))_inf^(-1).
     """
     lhs = partition_sum_lhs(a, ell, n_max)
-    # variable order (v, X0, .., X{ell-1}); exponent tuples built directly
-    ones = [1] * ell
-    z = tuple([0] + ones)
-    bases = [ones] + [z_over_tail(ell, a, c) for c in range(1, ell)]
-    rhs = expand(lhs.space, [(tuple([1] + qt), z) for qt in bases])
+    rhs = expand_product((0,) * ell, n_max,
+                         [(1, qt) for qt in _residue_bases(ell, a)])
     return series_diff_report(lhs, rhs)
 
 

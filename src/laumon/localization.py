@@ -7,10 +7,10 @@ product expressions are verified.  Fixed points of a component indexed by
 a rank vector r and an occupation vector n are tuples of colored Young
 diagrams, one per sector 1..sum(r), whose combined color counts equal n.
 Per-fixed-point data (Morse indices, tangent characters) enumerates the
-tuples; the generating function factors over the components instead, so
-it sums over single partitions and multiplies the R resulting series.
-It uses only partitions and the per-component Morse formula, never the
-closed product forms.
+tuples; the generating function factors over the components instead: it
+multiplies R reweighted copies of the colored partition sum of Lemma 3.2,
+one per sector.  It uses only partitions and the per-component Morse
+formula, never the closed product forms.
 
 Rank vectors are validated once, by `check_ranks` at the entry points
 (`brute_force_Z` and the fixed-point enumerations); the per-component
@@ -20,7 +20,8 @@ helpers take an already-checked tuple.
 import itertools
 from operator import add, mul, sub
 
-from .partitions import col_heights, colored_counts, enumerate_partitions
+from .partitions import (col_heights, colored_counts, enumerate_partitions,
+                         partition_sum_lhs)
 from .series import Series, canonical_space
 
 
@@ -318,26 +319,23 @@ def brute_force_Z(r, n_max):
 
     The occupation vector and the Morse index of a fixed point are sums of
     one term per component, so the sum over R-tuples of partitions is the
-    ordered product over beta of single-partition sums.  The color counts
-    of each partition are computed once per sector a and serve both the
-    Morse term and the q-monomial of every factor in that sector.
+    ordered product over beta of single-partition sums: Lemma 3.2's sum
+    `partition_sum_lhs` of the residue a of beta, built once per residue,
+    reweighted y^col q^cc -> y^(2 (<cc, r> - col * offset)) q^cc.
     """
     r = check_ranks(r)
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
     ell = len(r)
-    space = canonical_space(ell, n_max)
-    mus = [mu for k in range(n_max + 1) for mu in enumerate_partitions(k)]
-    counts = {}
-    out = Series.one(space)
+    sums = {}
+    out = Series.one(canonical_space(ell, n_max))
     for beta in range(1, sum(r) + 1):
         a = sector_index(beta, r)
-        if a not in counts:
-            counts[a] = [colored_counts(mu, a, ell) for mu in mus]
+        if a not in sums:
+            sums[a] = partition_sum_lhs(a, ell, n_max)
         offset = sum(r[: a + 1]) - beta + 1
-        terms = {}
-        for mu, cc in zip(mus, counts[a]):
-            mono = (2 * _morse_term(cc, mu[0] if mu else 0, offset, r),) + cc
-            terms[mono] = terms.get(mono, 0) + 1
-        out = out * Series.from_terms(space, terms)
+        # injective, as offset >= 1: no two terms meet, none cancels
+        out = out * Series(out.space, {
+            (2 * _morse_term(m[1:], m[0], offset, r),) + m[1:]: c
+            for m, c in sums[a].terms.items()})
     return out

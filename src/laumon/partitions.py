@@ -7,7 +7,7 @@ index and j the row index, both 1-based.  The color of box (i, j) in an
 a-colored diagram is a - j + 1 reduced mod ell and depends only on the row.
 """
 
-from .series import Series, VariableSpace
+from .series import Series, canonical_space
 
 
 def col_heights(mu):
@@ -121,17 +121,13 @@ def appendixA_report(max_size):
 
 
 def partition_sum_lhs(a, ell, n_max):
-    """Sum over all partitions with |mu| <= n_max of v^col(mu) times the
-    product of X_color over the boxes, as a Series in (v, X0, ..)."""
-    if ell < 2:
-        raise ValueError("ell must be >= 2")
-    names = ("v",) + tuple("X%d" % b for b in range(ell))
-    space = VariableSpace(names, names[1:], n_max)
+    """Lemma 3.2's colored partition sum of residue a: each partition with
+    |mu| <= n_max adds y^col(mu) prod_b q_b^(boxes of color b), y playing v
+    and q_b playing X_b in canonical_space(ell, n_max)."""
     terms = {}
     for n in range(n_max + 1):
         for mu in enumerate_partitions(n):
-            counts = colored_counts(mu, a, ell)
-            m = space.mono({"v": mu[0] if mu else 0},
-                           **{"X%d" % b: counts[b] for b in range(ell)})
+            m = (mu[0] if mu else 0,) + colored_counts(mu, a, ell)
             terms[m] = terms.get(m, 0) + 1
-    return Series.from_terms(space, terms)
+    # every count is >= 1 and every degree |mu| <= n_max: already clean
+    return Series(canonical_space(ell, n_max), terms)

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from laumon import acceptance, cli, localization, series
+from laumon import (acceptance, characters, cli, localization, partitions,
+                    series)
 from laumon.closed_form import theorem_Z
 from laumon.series import from_json_dict, to_json_dict
 
@@ -127,6 +128,54 @@ def test_verify_wz_text(capsys):
                    "  localization cross-check: PASS\n"
                    "    coefficients compared: 47\n"
                    "  coefficients compared: 47\n")
+
+
+def test_verify_wz_text_names_cross_check_failure(capsys, monkeypatch):
+    """A failing localization cross-check prints where it failed."""
+    real = characters.brute_force_Z
+
+    def off_by_one(r, n_max):
+        z = real(r, n_max)
+        return z + series.Series.one(z.space)
+    monkeypatch.setattr(characters, "brute_force_Z", off_by_one)
+    code, out, err = run_main(capsys, "verify-wz", "--m", "1,1", "--s", "1,2",
+                              "--max-order", "4", "--format", "text")
+    assert code == 1
+    assert out == ("W-character factorization: FAIL\n"
+                   "  localization cross-check: FAIL\n"
+                   "    coefficients compared: 47\n"
+                   '    first diff: {"exp": {}, "lhs": "2", "rhs": "1"}\n'
+                   "  coefficients compared: 47\n")
+
+
+def test_verify_appendixA_text_names_first_failure(capsys, monkeypatch):
+    """A failing box-count check prints its first failure record, the
+    first entry of the JSON report's `failures`."""
+    real = partitions.box_count_table
+
+    def skewed(mu, ell):
+        n1_geq, n1_gt, n2_geq = real(mu, ell)
+        return n1_geq, n1_gt, [x + 1 for x in n2_geq]
+    monkeypatch.setattr(partitions, "box_count_table", skewed)
+    code, out, err = run_main(capsys, "verify-appendixA", "--max-order", "1",
+                              "--format", "text")
+    assert code == 1
+    assert out == ("box-count bijections: FAIL\n"
+                   "  cases checked: 48\n"
+                   '  first failure: {"mu": [], "ell": 2, "c": -1, '
+                   '"n1_geq": 0, "n2_geq": 1, "n1_gt": 0}\n')
+    code, out, err = run_main(capsys, "verify-appendixA", "--max-order", "1")
+    assert json.loads(out)["failures"][0] == {
+        "mu": [], "ell": 2, "c": -1, "n1_geq": 0, "n2_geq": 1, "n1_gt": 0}
+
+
+def test_morse_text_without_fixed_points(capsys):
+    """An occupation that no fixed point realizes prints the zero
+    polynomial, as render_text prints a zero series."""
+    code, out, err = run_main(capsys, "morse", "--ranks", "1,0", "--n", "0,1",
+                              "--format", "text")
+    assert code == 0
+    assert out == "formula vs oracle: agree\npoincare: 0\n"
 
 
 def test_morse_payload(capsys):
@@ -261,6 +310,12 @@ PINNED_OUTPUTS = {
         "acceptance",
         {"json": "77dddbeb80c1cd120e99d11ca9fa8c31ef3f79564d393f0d1310f06752c1ca07",
          "text": "3cd6dddd5a061db9c64ad8c6c1a00ae006c1c66b3cb767f29f175a6e4d818f4e"}),
+    # the bytes printed when the partition sum lived in its own (v, X)
+    # space and its product side called series.expand directly
+    "verify-lemma32": (
+        "verify-lemma32 --max-order 6",
+        {"json": "1d36988ac91c6a3676495e7929ba8cf2caafbdaa05b41d6d5af5a914e6c474ad",
+         "text": "2060b0c47119ebd4623b370975a1a74006c9f176a95794a1d451e8aed364abcf"}),
 }
 
 

@@ -8,6 +8,7 @@ from laumon.partitions import (box_count_table, boxes, col_heights,
                                colored_counts, count_N1_geq, count_N1_gt,
                                count_N2_geq, enumerate_partitions,
                                partition_sum_lhs)
+from laumon.series import canonical_space
 
 PARTITION_NUMBERS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
 
@@ -130,7 +131,7 @@ def test_partition_sum_lhs_small():
     s = partition_sum_lhs(0, 2, 2)
     # contributions: empty, (1), (2), (1,1)
     sp = s.space
-    assert sp.names == ("v", "X0", "X1")
+    assert sp.names == ("y", "q0", "q1")
     want = {
         (0, 0, 0): 1,
         (1, 1, 0): 1,
@@ -138,6 +139,25 @@ def test_partition_sum_lhs_small():
         (1, 1, 1): 1,
     }
     assert s.terms == want
+
+
+@pytest.mark.parametrize("ell", [2, 3, 4])
+def test_partition_sum_lhs_matches_box_by_box_sum(ell):
+    """Lemma 3.2's sum, the one both brute_force_Z (criterion 1) and
+    verify_partition_identity (criterion 8) read, against a sum built box
+    by box: y per column, q_b per box of color a - j + 1 mod ell."""
+    n_max = 8
+    for a in range(ell):
+        want = {}
+        for n in range(n_max + 1):
+            for mu in enumerate_partitions(n):
+                m = [len({i for i, _ in boxes(mu)})] + [0] * ell
+                for _, j in boxes(mu):
+                    m[1 + (a - j + 1) % ell] += 1
+                want[tuple(m)] = want.get(tuple(m), 0) + 1
+        s = partition_sum_lhs(a, ell, n_max)
+        assert s.space == canonical_space(ell, n_max)
+        assert s.terms == want
 
 
 def test_partition_sum_lhs_rejects_small_ell():
