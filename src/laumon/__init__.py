@@ -2,7 +2,4 @@
 affine Laumon spaces: fixed-point localization, closed product forms,
 and refined W-algebra characters, all over truncated integer series."""
 
-from . import characters, closed_form, localization, partitions, series
-
-__all__ = ["characters", "closed_form", "localization", "partitions", "series"]
 __version__ = "0.1.0"

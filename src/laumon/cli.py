@@ -3,7 +3,8 @@
 Commands compute the generating function both ways, dump fixed-point and
 tangent data, expand the refined characters, and verify every identity in
 scope; `acceptance` prints one line per row of `acceptance.CRITERIA`, the
-whole verification grid and the shipped golden fixtures.
+whole verification grid and the shipped golden fixtures.  The parser and
+--help read `COMMANDS`; each handler imports only the module it calls.
 
 Exit codes: 0 success or verified equality, 1 verification discrepancy,
 2 usage error (an --out path that cannot be opened included) or an output
@@ -12,17 +13,15 @@ and 141 (128 + SIGPIPE, as a shell reports a process that SIGPIPE ended)
 when the reader of stdout closes it before the output is written.
 """
 
-import argparse
 import contextlib
-import functools
 import itertools
-import json
 import os
-import shutil
 import sys
+from collections import Counter
+from importlib import import_module
+from types import SimpleNamespace
 
-from . import (acceptance, characters, closed_form, localization, partitions,
-               series)
+from . import series
 from .series import SeriesError
 
 
@@ -30,87 +29,111 @@ def _csv_ints(text):
     try:
         return tuple(int(p) for p in text.split(","))
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            "expected comma-separated integers, got %r" % text)
+        raise ValueError("expected comma-separated integers, got %r"
+                         % text) from None
 
 
-def _ranks(p):
-    p.add_argument("--ranks", type=_csv_ints, required=True,
-                   metavar="R0,R1,..", help="rank vector, e.g. 2,1")
+def _format(text):
+    if text not in ("json", "text"):
+        raise ValueError("invalid choice: %r (choose from json, text)" % text)
+    return text
 
 
-def _blocks(p):
-    p.add_argument("--m", type=_csv_ints, required=True,
-                   metavar="M1,..", help="block multiplicities")
-    p.add_argument("--s", type=_csv_ints, required=True,
-                   metavar="S1,..", help="block labels, strictly increasing")
-
-
-def _occupation(p):
-    p.add_argument("--n", type=_csv_ints, required=True,
-                   metavar="N0,N1,..", help="occupation vector")
-
-
-def _size(p):
-    p.add_argument("--size", type=int, required=True, metavar="N",
-                   help="number of v variables")
-
-
-def _v_cap(p):
-    p.add_argument("--v-cap", type=int, default=4, dest="v_cap", metavar="C",
-                   help="print only the terms with every |v exponent| <= C "
-                        "(default 4)")
+# --flag -> (dest, converter, default or _REQUIRED, None or (least value,
+# why), metavar, help); every command takes _COMMON first
+_REQUIRED = object()
+_COMMON = {"--format": ("format", _format, "json", None, "{json,text}",
+                        "output format"),
+           "--out": ("out", str, None, None, "PATH",
+                     "write output to a file instead of stdout")}
+_RANKS = {"--ranks": ("ranks", _csv_ints, _REQUIRED, None, "R0,R1,..",
+                      "rank vector, e.g. 2,1")}
+_BLOCKS = {"--m": ("m", _csv_ints, _REQUIRED, None, "M1,..",
+                   "block multiplicities"),
+           "--s": ("s", _csv_ints, _REQUIRED, None, "S1,..",
+                   "block labels, strictly increasing")}
+_OCCUPATION = {"--n": ("n", _csv_ints, _REQUIRED, None, "N0,N1,..",
+                       "occupation vector")}
 
 
 def _order(default, least=0):
-    def add(p):
-        p.add_argument("--max-order", type=int, default=default,
-                       dest="max_order", metavar="N",
-                       help="truncation order (default %d)" % default)
-        p.set_defaults(least_order=least)
-    return add
+    why = ": order 0 compares only the constant 1" if least else ""
+    return {"--max-order": ("max_order", int, default, (least, why), "N",
+                            "truncation order")}
 
 
-def build_parser(commands):
-    """The argument parser with a subparser for each name in `commands`."""
-    # every parser and argument makes a help formatter, which would look
-    # up the terminal size again; this is the width each would compute
-    fmt = functools.partial(argparse.HelpFormatter,
-                            width=shutil.get_terminal_size().columns - 2)
-    ap = argparse.ArgumentParser(
-        prog="laumon", formatter_class=fmt,
-        description="exact generating functions, characters, and identity "
-                    "checks for affine Laumon spaces")
-    sub = ap.add_subparsers(dest="command", required=True, metavar="command")
-    for name in commands:
-        help_text, adders, _ = COMMANDS[name]
-        p = sub.add_parser(name, help=help_text, formatter_class=fmt)
-        p.add_argument("--format", choices=("json", "text"),
-                       default="json", help="output format (default json)")
-        p.add_argument("--out", default=None, metavar="PATH",
-                       help="write output to a file instead of stdout")
-        for add in adders:
-            add(p)
-    return ap
+def _exit(name, error=None):
+    """Help generated from the table on stdout and exit 0; or, given an
+    error, the usage line and the error on stderr and exit 2."""
+    if name is None:
+        usage, lead = "usage: laumon [-h] command ...", (
+            "exact generating functions, characters, and identity checks for "
+            "affine Laumon spaces")
+        rows = [(n, c[0]) for n, c in COMMANDS.items()]
+    else:
+        opts, lead = {**_COMMON, **COMMANDS[name][1]}, COMMANDS[name][0]
+        usage = "usage: laumon %s [-h] " % name + " ".join(
+            ("%s %s" if o[2] is _REQUIRED else "[%s %s]") % (flag, o[4])
+            for flag, o in opts.items())
+        rows = [(flag + " " + o[4], o[5] + (
+            "" if o[2] is None else " (required)" if o[2] is _REQUIRED
+            else " (default %s)" % o[2])) for flag, o in opts.items()]
+    if error:
+        prog = "laumon " + name if name else "laumon"
+        print(usage, "%s: error: %s" % (prog, error), sep="\n", file=sys.stderr)
+        raise SystemExit(2)
+    rows.insert(0, ("-h, --help", "show this help message and exit"))
+    width = max(len(flag) for flag, _ in rows)
+    print(usage, "", lead, "", *("  %-*s  %s" % (width, *row) for row in rows),
+          sep="\n")
+    raise SystemExit(0)
 
 
 def parse_args(argv=None):
+    """The command line as a namespace of `command` and each option's dest.
+    A flag's value is the next token, even one that starts with "-", or
+    the text after "="; a later repeat of a flag wins."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    # every parser and argument costs gettext and terminal-size lookups, so
-    # build only the command named first; anything else (help or a usage
-    # error) gets every parser
-    first = argv[0] if argv else None
-    ap = build_parser([first] if first in COMMANDS else COMMANDS)
-    cfg = ap.parse_args(argv)
-    least = getattr(cfg, "least_order", 0)
-    if getattr(cfg, "max_order", 0) < least:
-        ap.error("--max-order must be >= %d" % least + (
-            ": order 0 compares only the constant 1" if least else ""))
-    return cfg
+    name = argv[0] if argv else None
+    if name in ("-h", "--help"):
+        _exit(None)
+    if name not in COMMANDS:
+        _exit(None, "argument command: invalid choice: %r" % name if argv
+              else "the following arguments are required: command")
+    opts = {**_COMMON, **COMMANDS[name][1]}
+    cfg = {o[0]: o[2] for o in opts.values()}
+    args = iter(argv[1:])
+    for arg in args:
+        if arg in ("-h", "--help"):
+            _exit(name)
+        flag, eq, value = arg.partition("=")
+        if flag not in opts:
+            _exit(name, "unrecognized arguments: %s" % arg)
+        value = value if eq else next(args, None)
+        if value is None:
+            _exit(name, "argument %s: expected one argument" % flag)
+        dest, convert, _, least = opts[flag][:4]
+        try:
+            cfg[dest] = convert(value)
+        except ValueError as e:
+            _exit(name, "argument %s: %s" % (flag, e))
+        if least and cfg[dest] < least[0]:
+            _exit(name, "%s must be >= %d%s" % (flag, *least))
+    missing = [flag for flag, o in opts.items() if cfg[o[0]] is _REQUIRED]
+    if missing:
+        _exit(name, "the following arguments are required: "
+              + ", ".join(missing))
+    return SimpleNamespace(command=name, **cfg)
+
+
+def _dumps(obj):
+    import json    # only text output needs it
+    return json.dumps(obj)
 
 
 def _checked_ranks(cfg):
     """The validated --ranks; a zero entry is allowed, with a warning."""
+    from . import localization
     r = localization.check_ranks(cfg.ranks)
     if 0 in r:
         print("warning: rank vector %s contains a zero entry, outside the "
@@ -119,12 +142,10 @@ def _checked_ranks(cfg):
     return r
 
 
-def _series_out(s):
-    return 0, s, lambda: series.render_text(s)
-
-
-def _verify_text(title, rep):
-    lines = ["%s: %s" % (title, "PASS" if rep["equal"] else "FAIL")]
+def _verify_text(title, rep, inputs):
+    lines = ["%s: %s" % (title, "PASS" if rep["equal"] else "FAIL"),
+             "  inputs: " + ", ".join("%s=%s" % (k, _dumps(rep[k]))
+                                      for k in inputs)]
     for c in rep.get("checks", ()):
         tag = c.get("name")
         if tag is None:
@@ -133,79 +154,55 @@ def _verify_text(title, rep):
         if "coefficients" in c:
             lines.append("    coefficients compared: %d" % c["coefficients"])
         if not c["equal"] and "first_diff" in c:
-            lines.append("    first diff: %s" % json.dumps(c["first_diff"]))
+            lines.append("    first diff: %s" % _dumps(c["first_diff"]))
     if not rep["equal"] and "first_diff" in rep:
-        lines.append("  first diff: %s" % json.dumps(rep["first_diff"]))
+        lines.append("  first diff: %s" % _dumps(rep["first_diff"]))
     if rep.get("brute_checked"):
         lines.append("  localization cross-check: %s"
                      % ("PASS" if rep.get("brute_equal") else "FAIL"))
         lines.append("    coefficients compared: %d" % rep["brute_coefficients"])
         if "brute_first_diff" in rep:
-            lines.append("    first diff: %s" % json.dumps(rep["brute_first_diff"]))
+            lines.append("    first diff: %s" % _dumps(rep["brute_first_diff"]))
     if "coefficients" in rep:
         lines.append("  coefficients compared: %d" % rep["coefficients"])
     if "checked" in rep:
         lines.append("  cases checked: %d" % rep["checked"])
     if rep.get("failures"):
-        lines.append("  first failure: %s" % json.dumps(rep["failures"][0]))
+        lines.append("  first failure: %s" % _dumps(rep["failures"][0]))
     if "families" in rep:
-        lines.append("  factor families: %s" % json.dumps(rep["families"]))
+        lines.append("  factor families: %s" % _dumps(rep["families"]))
     return lines
 
 
-def _verify_out(title, rep):
+def _verify_out(title, cfg, rep):
+    """A verify report led by what it compared: the command's options."""
+    inputs = [o[0] for o in COMMANDS[cfg.command][1].values()]
+    rep = {**{k: getattr(cfg, k) for k in inputs}, **rep}
     return ((0 if rep["equal"] else 1), rep,
-            lambda: "\n".join(_verify_text(title, rep)))
+            lambda: "\n".join(_verify_text(title, rep, inputs)))
 
 
-def _h_zr_brute(cfg):
-    return _series_out(localization.brute_force_Z(_checked_ranks(cfg),
-                                                   cfg.max_order))
-
-
-def _h_zr_closed(cfg):
-    return _series_out(closed_form.theorem_Z(_checked_ranks(cfg),
-                                              cfg.max_order))
-
-
-def _h_zr_u(cfg):
-    return _series_out(closed_form.theorem_Z_u(_checked_ranks(cfg),
-                                                cfg.max_order))
-
-
-def _h_verify_thm(cfg):
-    rep = closed_form.verify_theorem_Z(_checked_ranks(cfg), cfg.max_order)
-    return _verify_out("product form vs localization", rep)
-
-
-def _h_verify_prop34(cfg):
-    rep = closed_form.verify_change_of_variables(_checked_ranks(cfg),
-                                                 cfg.max_order)
-    return _verify_out("u-variable vs qtilde product", rep)
+def _call(module, func, title=None):
+    """The handler of a command that passes its options, in table order with
+    --ranks validated, to `func` of `module`, imported when it runs; the
+    result is the output, a series, or with a title a verify report."""
+    def handler(cfg):
+        args = [_checked_ranks(cfg) if o[0] == "ranks" else getattr(cfg, o[0])
+                for o in COMMANDS[cfg.command][1].values()]
+        out = getattr(import_module("." + module, __package__), func)(*args)
+        return (_verify_out(title, cfg, out) if title
+                else (0, out, lambda: series.render_text(out)))
+    return handler
 
 
 def _h_verify_wz(cfg):
-    b = characters.BlockData(cfg.m, cfg.s)
-    rep = characters.verify_WZ(b, cfg.max_order)
-    return _verify_out("W-character factorization", rep)
-
-
-def _h_verify_appendixA(cfg):
-    rep = partitions.appendixA_report(cfg.max_order)
-    return _verify_out("box-count bijections", rep)
-
-
-def _h_verify_appendixB(cfg):
-    rep = closed_form.verify_appendixB(_checked_ranks(cfg), cfg.max_order)
-    return _verify_out("off-diagonal rearrangement chain", rep)
-
-
-def _h_verify_lemma32(cfg):
-    rep = closed_form.lemma32_report(cfg.max_order)
-    return _verify_out("colored partition-sum identity", rep)
+    from .characters import BlockData, verify_WZ
+    rep = verify_WZ(BlockData(cfg.m, cfg.s), cfg.max_order)
+    return _verify_out("W-character factorization", cfg, rep)
 
 
 def _h_fixed_points(cfg):
+    from . import localization
     r = _checked_ranks(cfg)
     n = localization.check_occupation(cfg.n, len(r))
     fps = localization.enumerate_fixed_points(r, n)
@@ -215,26 +212,22 @@ def _h_fixed_points(cfg):
 
     def text():
         lines = ["%d fixed points" % len(entries)]
-        lines += ["mus=%s morse=%d" % (json.dumps(e["mus"]), e["morse"])
+        lines += ["mus=%s morse=%d" % (_dumps(e["mus"]), e["morse"])
                   for e in entries]
         return "\n".join(lines)
     return 0, payload, text
 
 
 def _h_morse(cfg):
+    from . import localization
     r = _checked_ranks(cfg)
     n = localization.check_occupation(cfg.n, len(r))
     fps = localization.enumerate_fixed_points(r, n)
-    entries = []
-    agree = True
-    poincare = {}
-    data = localization.fixed_point_data(r, fps)
-    for fp, (_, wf, _, _, wo) in zip(fps, data):
-        agree = agree and wf == wo
-        entries.append({"mus": [list(mu) for mu in fp.mus],
-                        "formula": wf, "oracle": wo})
-        poincare[2 * wf] = poincare.get(2 * wf, 0) + 1
-    poincare = dict(sorted(poincare.items()))
+    entries = [{"mus": [list(mu) for mu in fp.mus], "formula": wf,
+                "oracle": wo} for fp, (_, wf, _, _, wo)
+               in zip(fps, localization.fixed_point_data(r, fps))]
+    agree = all(e["formula"] == e["oracle"] for e in entries)
+    poincare = dict(sorted(Counter(2 * e["formula"] for e in entries).items()))
     payload = {"r": list(r), "n": list(n), "fixed_points": entries,
                "poincare": {str(e): c for e, c in poincare.items()},
                "agree": agree}
@@ -242,7 +235,7 @@ def _h_morse(cfg):
     def text():
         lines = ["formula vs oracle: %s" % ("agree" if agree else "DISAGREE")]
         lines += ["mus=%s formula=%d oracle=%d"
-                  % (json.dumps(e["mus"]), e["formula"], e["oracle"])
+                  % (_dumps(e["mus"]), e["formula"], e["oracle"])
                   for e in entries]
         lines.append("poincare: " + (" + ".join(
             "%d*y^%d" % (c, e) if e else str(c)
@@ -252,6 +245,7 @@ def _h_morse(cfg):
 
 
 def _h_tangent(cfg):
+    from . import localization
     r = _checked_ranks(cfg)
     n = localization.check_occupation(cfg.n, len(r))
     fps = localization.enumerate_fixed_points(r, n)
@@ -275,13 +269,14 @@ def _h_tangent(cfg):
     payload = {"r": list(r), "n": list(n), "fixed_points": map(entry, fps)}
 
     def text():
-        lines = ["mus=%s total=%d invariant=%d" % (json.dumps(mus), total, inv)
+        lines = ["mus=%s total=%d invariant=%d" % (_dumps(mus), total, inv)
                  for _, mus, total, inv in map(counts, fps)]
         return "\n".join(lines) if lines else "no fixed points"
     return 0, payload, text
 
 
 def _h_characters(cfg):
+    from . import characters
     b = characters.BlockData(cfg.m, cfg.s)
     n_max = cfg.max_order
     blocks = [("X_%d" % i, characters.x_i_factors(b, i))
@@ -309,6 +304,7 @@ def _h_characters(cfg):
 
 
 def _h_spin(cfg):
+    from . import characters
     b = characters.BlockData(cfg.m, cfg.s)
     ents = characters.spin_decomposition(b)
     total = characters.spin_total_dimension(ents)
@@ -325,16 +321,8 @@ def _h_spin(cfg):
     return 0, payload, text
 
 
-def _h_verma(cfg):
-    if cfg.size < 1:
-        raise ValueError("--size must be >= 1")
-    if cfg.v_cap < 0:
-        raise ValueError("--v-cap must be >= 0")
-    return _series_out(characters.affine_verma_denominator(
-        cfg.size, cfg.max_order, cfg.v_cap))
-
-
 def _h_acceptance(cfg):
+    from . import acceptance
     results = acceptance.run()
     all_passed = all(r["passed"] for r in results)
     payload = {"results": results, "all_passed": all_passed}
@@ -350,41 +338,54 @@ def _h_acceptance(cfg):
     return (0 if all_passed else 1), payload, text
 
 
-# command -> (help, argument adders after --format and --out in order,
-#             handler)
+# command -> (help, options after _COMMON in order, handler)
 COMMANDS = {
     "zr-brute": ("generating function by fixed-point localization",
-                 (_ranks, _order(4)), _h_zr_brute),
+                 {**_RANKS, **_order(4)},
+                 _call("localization", "brute_force_Z")),
     "zr-closed": ("generating function as a qtilde product",
-                  (_ranks, _order(4)), _h_zr_closed),
+                  {**_RANKS, **_order(4)}, _call("closed_form", "theorem_Z")),
     "zr-u": ("generating function as a u-variable product",
-             (_ranks, _order(4)), _h_zr_u),
+             {**_RANKS, **_order(4)}, _call("closed_form", "theorem_Z_u")),
     "verify-thm": ("check the qtilde product against localization",
-                   (_ranks, _order(4, 1)), _h_verify_thm),
+                   {**_RANKS, **_order(4, 1)},
+                   _call("closed_form", "verify_theorem_Z",
+                         "product form vs localization")),
     "verify-prop34": ("check the u-variable product against the qtilde one",
-                      (_ranks, _order(4, 1)), _h_verify_prop34),
+                      {**_RANKS, **_order(4, 1)},
+                      _call("closed_form", "verify_change_of_variables",
+                            "u-variable vs qtilde product")),
     "verify-wz": ("check the W-character factorization of Z",
-                  (_blocks, _order(4, 1)), _h_verify_wz),
+                  {**_BLOCKS, **_order(4, 1)}, _h_verify_wz),
     "verify-appendixA": ("box-count bijections over a partition grid",
-                         (_order(12),), _h_verify_appendixA),
+                         _order(12), _call("partitions", "appendixA_report",
+                                           "box-count bijections")),
     "verify-appendixB": ("off-diagonal product rearrangement chain",
-                         (_ranks, _order(4, 1)), _h_verify_appendixB),
+                         {**_RANKS, **_order(4, 1)},
+                         _call("closed_form", "verify_appendixB",
+                               "off-diagonal rearrangement chain")),
     "verify-lemma32": ("colored partition-sum identity over a grid",
-                       (_order(6, 1),), _h_verify_lemma32),
+                       _order(6, 1), _call("closed_form", "lemma32_report",
+                                           "colored partition-sum identity")),
     "fixed-points": ("list fixed points of one component",
-                     (_ranks, _occupation), _h_fixed_points),
+                     {**_RANKS, **_OCCUPATION}, _h_fixed_points),
     "morse": ("Morse indices, both ways, plus the Poincare polynomial",
-              (_ranks, _occupation), _h_morse),
-    "tangent": ("equivariant tangent characters", (_ranks, _occupation),
+              {**_RANKS, **_OCCUPATION}, _h_morse),
+    "tangent": ("equivariant tangent characters", {**_RANKS, **_OCCUPATION},
                 _h_tangent),
     "characters": ("refined character blocks with factor lists",
-                   (_blocks, _order(4)), _h_characters),
-    "spin": ("block spin decomposition and free-field counts", (_blocks,),
+                   {**_BLOCKS, **_order(4)}, _h_characters),
+    "spin": ("block spin decomposition and free-field counts", _BLOCKS,
              _h_spin),
-    "verma-denominator": ("affine Verma denominator in (z, v) variables",
-                          (_size, _order(4), _v_cap), _h_verma),
+    "verma-denominator": (
+        "affine Verma denominator in (z, v) variables",
+        {"--size": ("size", int, _REQUIRED, (1, ""), "N",
+                    "number of v variables"), **_order(4),
+         "--v-cap": ("v_cap", int, 4, (0, ""), "C",
+                     "print only the terms with every |v exponent| <= C")},
+        _call("characters", "affine_verma_denominator")),
     "acceptance": ("run the full acceptance grid and diff golden fixtures",
-                   (), _h_acceptance),
+                   {}, _h_acceptance),
 }
 
 # the dispatch table run() reads; a tracer may rebind its entries

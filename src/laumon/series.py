@@ -20,9 +20,10 @@ leaves that box, which is exact because those exponents only grow; a
 bounded digit carries a guard bit, so the test is one AND per packed key.
 """
 
+# the C encoder json.encoder re-exports, taken without loading json
+from _json import encode_basestring_ascii
 from collections.abc import Iterator
 from itertools import accumulate, chain, compress, repeat
-from json.encoder import encode_basestring_ascii
 from math import gcd
 from operator import add, itemgetter
 from struct import Struct

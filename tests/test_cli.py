@@ -47,45 +47,139 @@ SAMPLE_OPERANDS = {
     "acceptance": ""}
 
 
-def test_one_subparser_parses_and_helps_as_all():
-    """Building only the named command's parser changes neither what is
-    printed nor what is parsed."""
+def reference_parser():
+    """An argparse build of cli.COMMANDS, the parser the table replaced:
+    a converter that fails or a value under its option's least value is
+    a usage error."""
+    def typed(convert, least):
+        def check(text):
+            value = convert(text)
+            if least and value < least[0]:
+                raise argparse.ArgumentTypeError("must be >= %d" % least[0])
+            return value
+        return check
 
-    def printed(parse, argv):
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(buf), \
-                pytest.raises(SystemExit):
-            parse(argv)
-        return buf.getvalue()
+    ap = argparse.ArgumentParser(prog="laumon")
+    sub = ap.add_subparsers(dest="command", required=True, metavar="command")
+    for name, (help_text, options, _) in cli.COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, (dest, convert, default, least, metavar, text) \
+                in {**cli._COMMON, **options}.items():
+            required = default is cli._REQUIRED
+            p.add_argument(flag, dest=dest, type=typed(convert, least),
+                           required=required,
+                           default=None if required else default,
+                           metavar=metavar, help=text)
+    return ap
 
-    every = cli.build_parser(cli.COMMANDS)
-    # a leading unknown flag: the command's own arguments still parse
-    stray = ["-x", "zr-brute", "--ranks", "1,1"]
-    assert printed(every.parse_args, stray).endswith(
-        "unrecognized arguments: -x\n")
-    for argv in [["-h"], ["--help"], stray] + [[name, "--help"]
-                                               for name in cli.COMMANDS]:
-        assert printed(cli.parse_args, argv) \
-            == printed(every.parse_args, argv), argv
+
+def exit_code(parse, argv):
+    """The status `parse(argv)` exits with, and what it printed to stdout."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()), \
+            pytest.raises(SystemExit) as e:
+        parse(argv)
+    return e.value.code, out.getvalue()
+
+
+BAD_ARGV = [
+    [], ["bogus"], ["-x", "zr-brute", "--ranks", "1,1"], ["zr-brute"],
+    ["zr-brute", "--ranks"],
+    ["zr-brute", "--ranks", "1,x"], ["zr-brute", "--ranks", "1,1", "extra"],
+    ["zr-brute", "--ranks", "1,1", "--format", "xml"],
+    ["zr-brute", "--ranks", "1,1", "--max-order", "x"],
+    ["zr-brute", "--ranks", "1,1", "--max-order", "-1"],
+    ["verify-thm", "--ranks", "1,1", "--max-order=0"],
+    ["verify-lemma32", "--max-order", "0"],
+    ["verma-denominator", "--size", "0"],
+    ["verma-denominator", "--size", "2", "--v-cap", "-1"],
+    ["verify-wz", "--ranks", "1,1"], ["spin", "--m", "1"],
+    ["fixed-points", "--ranks", "1,1", "--n=1,,1"],
+]
+
+
+def test_parser_matches_argparse_reference():
+    """The table parser reads every sample command line as an argparse
+    build of the same table does, `--flag=value` and a repeated flag
+    included, and each bad argument list is a usage error to both."""
+    ref = reference_parser()
     for name in cli.COMMANDS:
         operands = SAMPLE_OPERANDS.get(name, "--ranks 2,1 --max-order 3")
-        for extra in ("", " --format text --out o.txt"):
+        for extra in ("", " --format text --out o.txt",
+                      " --format=text --out=a=b --format json"):
             argv = (name + " " + operands + extra).split()
-            assert cli.parse_args(argv) == every.parse_args(argv), argv
+            assert vars(cli.parse_args(argv)) == vars(ref.parse_args(argv)), argv
+    for argv in BAD_ARGV:
+        assert exit_code(cli.parse_args, argv) == (2, ""), argv
+        assert exit_code(ref.parse_args, argv)[0] == 2, argv
 
 
-@pytest.mark.parametrize("columns", ["40", "60", "100"])
-def test_help_width_is_argparse_default(monkeypatch, columns):
-    """The shared help-formatter width wraps help as each parser's own
-    default formatter would."""
-    monkeypatch.setenv("COLUMNS", columns)
-    ap = cli.build_parser(cli.COMMANDS)
-    sub = next(a for a in ap._actions
-               if isinstance(a, argparse._SubParsersAction))
-    for p in [ap] + list(sub.choices.values()):
-        got = p.format_help()
-        p.formatter_class = argparse.HelpFormatter
-        assert p.format_help() == got, p.prog
+def test_help_is_generated_from_the_table():
+    """-h and --help print usage and one line per command, or per option
+    of a command, to stdout and exit 0, wherever they stand."""
+    for argv in (["-h"], ["--help"]):
+        code, out = exit_code(cli.parse_args, argv)
+        assert code == 0 and out.startswith("usage: laumon [-h] command")
+        assert all("\n  %s " % name in out for name in cli.COMMANDS)
+    for name, (help_text, options, _) in cli.COMMANDS.items():
+        for argv in ([name, "-h"], [name, "--format", "text", "--help"]):
+            code, out = exit_code(cli.parse_args, argv)
+            assert code == 0 and out.startswith("usage: laumon %s [-h] " % name)
+            assert help_text in out
+            assert all("\n  %s %s " % (flag, o[4]) in out
+                       for flag, o in {**cli._COMMON, **options}.items())
+
+
+def test_usage_error_names_the_command(capsys):
+    """A usage error prints the command's usage line and the error, and
+    nothing on stdout."""
+    code, out, err = run_main(capsys, "verify-thm", "--ranks", "1,1",
+                              "--max-order", "0")
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        "usage: laumon verify-thm [-h] [--format {json,text}] [--out PATH] "
+        "--ranks R0,R1,.. [--max-order N]",
+        "laumon verify-thm: error: --max-order must be >= 1: order 0 "
+        "compares only the constant 1"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("zr-closed", "--ranks", "-1,2"), "rank entries must be non-negative"),
+    (("morse", "--ranks", "1,1", "--n", "-1,0"),
+     "occupation entries must be non-negative"),
+], ids=["ranks", "n"])
+def test_negative_list_entry_reaches_the_validator(capsys, argv, message):
+    """A list value that starts with "-" is the flag's value, so the
+    validator's own message is printed."""
+    code, out, err = run_main(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: %s\n" % message)
+
+
+STARTUP_CHILD = """
+import sys
+before = set(sys.modules)
+from laumon import cli
+cli.main(sys.argv[1:])
+sys.stdout.flush()
+print(" ".join(sorted(set(sys.modules) - before)), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-thm", "--ranks", "2,1", "--max-order", "2"], ["--help"]])
+def test_startup_imports_only_what_the_command_runs(argv):
+    """In a fresh interpreter a command loads no argparse, no json and no
+    laumon module it does not call."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(
+        os.path.dirname(__file__), os.pardir, "src"))
+    proc = subprocess.run([sys.executable, "-c", STARTUP_CHILD] + argv,
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0 and proc.stdout
+    loaded = set(proc.stderr.split())
+    assert "laumon.cli" in loaded
+    assert not loaded & {"argparse", "json", "laumon.characters",
+                         "laumon.acceptance"}
 
 
 def test_unknown_flag_is_usage_error(capsys):
@@ -112,11 +206,33 @@ def test_verify_thm(capsys):
     assert json.loads(out)["equal"] is True
 
 
+@pytest.mark.parametrize("line, inputs", [
+    ("verify-thm --ranks 2,1", {"ranks": [2, 1]}),
+    ("verify-prop34 --ranks 2,1", {"ranks": [2, 1]}),
+    ("verify-wz --m 1,1 --s 1,2", {"m": [1, 1], "s": [1, 2]}),
+    ("verify-appendixA", {}),
+    ("verify-appendixB --ranks 1,1,1", {"ranks": [1, 1, 1]}),
+    ("verify-lemma32", {}),
+])
+def test_verify_report_names_its_inputs(capsys, line, inputs):
+    """Each verify report leads with what it compared, its command's
+    options and --max-order, in JSON and as the second line of text."""
+    argv = line.split() + ["--max-order", "2"]
+    inputs["max_order"] = 2
+    code, out, err = run_main(capsys, *argv)
+    assert code == 0
+    assert list(json.loads(out).items())[:len(inputs)] == list(inputs.items())
+    code, out, err = run_main(capsys, *argv, "--format", "text")
+    assert out.splitlines()[1] == "  inputs: " + ", ".join(
+        "%s=%s" % (k, json.dumps(v)) for k, v in inputs.items())
+
+
 def test_verify_thm_text(capsys):
     code, out, err = run_main(capsys, "verify-thm", "--ranks", "1,1",
                               "--format", "text")
     assert code == 0
     assert out == ("product form vs localization: PASS\n"
+                   "  inputs: ranks=[1, 1], max_order=4\n"
                    "  coefficients compared: 27\n")
 
 
@@ -125,6 +241,7 @@ def test_verify_wz_text(capsys):
                               "--max-order", "4", "--format", "text")
     assert code == 0
     assert out == ("W-character factorization: PASS\n"
+                   "  inputs: m=[1, 1], s=[1, 2], max_order=4\n"
                    "  localization cross-check: PASS\n"
                    "    coefficients compared: 47\n"
                    "  coefficients compared: 47\n")
@@ -142,6 +259,7 @@ def test_verify_wz_text_names_cross_check_failure(capsys, monkeypatch):
                               "--max-order", "4", "--format", "text")
     assert code == 1
     assert out == ("W-character factorization: FAIL\n"
+                   "  inputs: m=[1, 1], s=[1, 2], max_order=4\n"
                    "  localization cross-check: FAIL\n"
                    "    coefficients compared: 47\n"
                    '    first diff: {"exp": {}, "lhs": "2", "rhs": "1"}\n'
@@ -161,6 +279,7 @@ def test_verify_appendixA_text_names_first_failure(capsys, monkeypatch):
                               "--format", "text")
     assert code == 1
     assert out == ("box-count bijections: FAIL\n"
+                   "  inputs: max_order=1\n"
                    "  cases checked: 48\n"
                    '  first failure: {"mu": [], "ell": 2, "c": -1, '
                    '"n1_geq": 0, "n2_geq": 1, "n1_gt": 0}\n')
@@ -311,11 +430,12 @@ PINNED_OUTPUTS = {
         {"json": "77dddbeb80c1cd120e99d11ca9fa8c31ef3f79564d393f0d1310f06752c1ca07",
          "text": "3cd6dddd5a061db9c64ad8c6c1a00ae006c1c66b3cb767f29f175a6e4d818f4e"}),
     # the bytes printed when the partition sum lived in its own (v, X)
-    # space and its product side called series.expand directly
+    # space and its product side called series.expand directly, with the
+    # report's inputs (max_order) added since
     "verify-lemma32": (
         "verify-lemma32 --max-order 6",
-        {"json": "1d36988ac91c6a3676495e7929ba8cf2caafbdaa05b41d6d5af5a914e6c474ad",
-         "text": "2060b0c47119ebd4623b370975a1a74006c9f176a95794a1d451e8aed364abcf"}),
+        {"json": "4a294709cd461ac661d177f871b00912030b23777a35ae8000f03441b0e1cb41",
+         "text": "ad29de17537e5075770658b154cd2aadb534ec0d23892099b4ff80ebb17bdcb5"}),
 }
 
 
