@@ -7,8 +7,8 @@ s_1 m_1 times, so that r_{ell-c} = s_i exactly when c lies in block i.
 
 Character factors are held symbolically as (y-exponent, z-exponent,
 u-exponent vector) triples.  Every factor denotes one inverse Pochhammer
-family stepped by z; its z and u exponents make one qtilde exponent
-vector, and the list resolves and expands through
+family stepped by z; `closed_form.u_qtilde` maps its z and u exponents to
+one qtilde exponent vector, and the list resolves and expands through
 `closed_form.expand_product`, in (y, q) through the rank vector, or at
 y = 1 and r = 0 for a (z, v) space with the u's kept formal.
 """
@@ -17,8 +17,8 @@ import itertools
 from collections import namedtuple
 from operator import sub
 
-from .closed_form import (expand_product, qtilde_monomial, theorem_Z,
-                          u_exponents)
+from .closed_form import (expand_product, qtilde_monomial, theorem_Z, u_pair,
+                          u_qtilde)
 from .localization import brute_force_Z
 from .series import Series, VariableSpace, series_diff_report
 
@@ -73,13 +73,6 @@ def rank_vector_from(b):
     return tuple(out)
 
 
-def _upair(ell, plus, minus):
-    v = [0] * ell
-    v[plus - 1] += 1
-    v[minus - 1] -= 1
-    return tuple(v)
-
-
 def x_i_factors(b, i):
     ell = b.ell
     si = b.s[i - 1]
@@ -90,8 +83,8 @@ def x_i_factors(b, i):
     for t in range(1, si + 1):
         out.extend([UZFactor(-2 * t, 1, zero)] * mi)
         for a, c in itertools.combinations(blk, 2):
-            out.append(UZFactor(-2 * t, 1, _upair(ell, a, c)))
-            out.append(UZFactor(-2 * t, 0, _upair(ell, c, a)))
+            out.append(UZFactor(-2 * t, 1, u_pair(ell, a, c)))
+            out.append(UZFactor(-2 * t, 0, u_pair(ell, c, a)))
     return out
 
 
@@ -105,8 +98,8 @@ def x_ij_factors(b, i, j):
     for t in range(1, si + 1):
         for a in b.block(i):
             for c in b.block(j):
-                out.append(UZFactor(-2 * t + 2 * (si - sj), 1, _upair(ell, a, c)))
-                out.append(UZFactor(-2 * t, 0, _upair(ell, c, a)))
+                out.append(UZFactor(-2 * t + 2 * (si - sj), 1, u_pair(ell, a, c)))
+                out.append(UZFactor(-2 * t, 0, u_pair(ell, c, a)))
     return out
 
 
@@ -118,7 +111,7 @@ def b_character_factors(b, i, j):
     for t in range(1, b.s[j - 1] - b.s[i - 1] + 1):
         for a in b.block(i):
             for c in b.block(j):
-                out.append(UZFactor(-2 * t, 1, _upair(ell, a, c)))
+                out.append(UZFactor(-2 * t, 1, u_pair(ell, a, c)))
     return out
 
 
@@ -128,19 +121,8 @@ def betagamma_factors(b, i, j):
     for t in range(1, b.s[j - 1] - b.s[i - 1] + 1):
         for a in b.block(i):
             for c in b.block(j):
-                out.append(UZFactor(2 - 2 * t, 0, _upair(ell, c, a)))
+                out.append(UZFactor(2 - 2 * t, 0, u_pair(ell, c, a)))
     return out
-
-
-def _qtilde(f):
-    """qtilde exponent vector of the factor base z^f.z prod_c u_c^f.u[c-1]."""
-    ell = len(f.u)
-    qt = [f.z] * ell
-    for c, e in enumerate(f.u, start=1):
-        if e:
-            for k, x in enumerate(u_exponents(ell, c)):
-                qt[k] += e * x
-    return qt
 
 
 def factor_base_canonical(space, r, f):
@@ -148,13 +130,13 @@ def factor_base_canonical(space, r, f):
 
     Nothing in laumon calls it: it is the base resolution of the
     benchmark's second method for `characters` (perfbench/refs.py)."""
-    return qtilde_monomial(space, r, _qtilde(f), f.y)
+    return qtilde_monomial(space, r, u_qtilde(f.z, f.u), f.y)
 
 
 def expand_factors(b, factors, n_max):
     """Product of the factors' inverse Pochhammer families in (y, q)."""
     return expand_product(rank_vector_from(b), n_max,
-                          [(f.y, _qtilde(f)) for f in factors])
+                          [(f.y, u_qtilde(f.z, f.u)) for f in factors])
 
 
 def render_factor(f):
@@ -287,7 +269,7 @@ def _expand_zv(N, n_max, v_cap, factors):
     bounds.update(("q%d" % (N - k), n_max + v_cap * min(k, N - k))
                   for k in range(1, N))
     boxed = expand_product((0,) * N, N * n_max + v_cap * (N * N // 4),
-                           [(0, _qtilde(f)) for f in factors], bounds)
+                           [(0, u_qtilde(f.z, f.u)) for f in factors], bounds)
     terms = {}
     for m, c in boxed.terms.items():
         z = m[1]
@@ -305,8 +287,8 @@ def affine_verma_factors(N):
     zero = (0,) * N
     out = [UZFactor(0, 1, zero)] * N
     for i, j in itertools.combinations(range(1, N + 1), 2):
-        out.append(UZFactor(0, 0, _upair(N, j, i)))
-        out.append(UZFactor(0, 1, _upair(N, i, j)))
+        out.append(UZFactor(0, 0, u_pair(N, j, i)))
+        out.append(UZFactor(0, 1, u_pair(N, i, j)))
     return out
 
 
@@ -339,8 +321,8 @@ def verify_verma_vs_X1(N, n_max=4, v_cap=4, denominator=None):
     `denominator`, if given, is affine_verma_denominator(N, n_max, v_cap)
     already computed."""
     b = BlockData((N,), (1,))
-    mapped = expand_product((0,) * N, n_max,
-                            [(0, _qtilde(f)) for f in affine_verma_factors(N)])
+    mapped = expand_product((0,) * N, n_max, [
+        (0, u_qtilde(f.z, f.u)) for f in affine_verma_factors(N)])
     x1 = expand_factors(b, x_i_factors(b, 1), n_max)
     rep1 = series_diff_report(mapped, x1.restrict("y"))
     if denominator is None:

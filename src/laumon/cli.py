@@ -8,9 +8,11 @@ whole verification grid and the shipped golden fixtures.  The parser and
 
 Exit codes: 0 success or verified equality, 1 verification discrepancy,
 2 usage error (an --out path that cannot be opened included) or an output
-that cannot be written, as on a full disk, 3 internal assertion failure,
-and 141 (128 + SIGPIPE, as a shell reports a process that SIGPIPE ended)
-when the reader of stdout closes it before the output is written.
+that cannot be written, as on a full disk, 3 internal error (a series
+assertion failure, or any other uncaught exception with its traceback on
+stderr), and 141 (128 + SIGPIPE, as a shell reports a process that
+SIGPIPE ended) when the reader of stdout closes it before the output is
+written.
 """
 
 import contextlib
@@ -436,6 +438,10 @@ def main(argv=None):
         return 2
     except SeriesError as e:
         print("internal error: %s" % e, file=sys.stderr)
+        return 3
+    except Exception:
+        import traceback    # only a crash needs it
+        traceback.print_exc()
         return 3
 
 

@@ -5,14 +5,16 @@ the product identities used to pass between the different variable sets.
 All products live in the canonical space (y, q0..q_{ell-1}) and are built
 from shifted variables qtilde_a = y^(2 r_a) q_a, their cyclic products
 z = qtilde_0 * .. * qtilde_{ell-1}, and the telescoping combinations
-u_c = prod_{b=c}^{ell-1} qtilde_{-b}^(-1) with u_ell = 1.  A product is
-held as a list of (y_exp, qtilde exponents) factors, each standing for the
-inverse Pochhammer family of that base stepped by z; `expand_product`
-resolves the list to (base, step) monomials and expands it by one call of
-`series.expand`.
+u_c = prod_{b=c}^{ell-1} qtilde_{-b}^(-1) with u_ell = 1, which `u_qtilde`
+resolves.  A product is held as a list of (y_exp, qtilde exponents)
+factors, each standing for the inverse Pochhammer family of that base
+stepped by z; `expand_product` resolves the list to (base, step) monomials
+and expands it by one call of `series.expand`.
 """
 
-from .localization import check_ranks
+from itertools import combinations
+
+from .localization import brute_force_Z, check_ranks
 from .partitions import partition_sum_lhs
 from .series import canonical_space, expand, series_diff_report
 
@@ -40,6 +42,20 @@ def u_exponents(ell, c):
     if not 1 <= c <= ell:
         raise ValueError("u index %d out of range 1..%d" % (c, ell))
     return [e - 1 for e in z_over_tail(ell, 0, c)]
+
+
+def u_pair(ell, plus, minus):
+    """u exponent vector of u_plus u_minus^(-1)."""
+    return tuple((c == plus) - (c == minus) for c in range(1, ell + 1))
+
+
+def u_qtilde(z, u):
+    """qtilde exponent vector of z^z prod_c u_c^u[c-1]."""
+    ell = len(u)
+    qt = [z] * ell
+    for c, e in enumerate(u, start=1):
+        qt = [q + e * x for q, x in zip(qt, u_exponents(ell, c))]
+    return qt
 
 
 def expand_product(r, n_max, factors, bounds=None):
@@ -85,33 +101,26 @@ def theorem_Z_u(r, n_max):
     """
     r = check_ranks(r)
     ell = len(r)
-    ones = [1] * ell
-    factors = []
-    for a in range(ell):
-        for t in range(1, r[a] + 1):
-            factors.append((-2 * t, ones))
-    factors += _u_pair_factors(r, ell)
-    return expand_product(r, n_max, factors)
+    diagonal = u_qtilde(1, (0,) * ell)
+    factors = [(-2 * t, diagonal) for a in range(ell)
+               for t in range(1, r[a] + 1)]
+    return expand_product(r, n_max, factors + _u_pair_factors(r, ell))
 
 
 def _u_pair_factors(r, top):
     """theorem_Z_u's pair families of every a < c <= top."""
     ell = len(r)
     factors = []
-    for a in range(1, top + 1):
-        ua = u_exponents(ell, a)
-        for c in range(a + 1, top + 1):
-            uc = u_exponents(ell, c)
-            for t in range(1, r[ell - c] + 1):
-                factors.append((-2 * t, [1 + x - y for x, y in zip(ua, uc)]))
-            for t in range(1, r[ell - a] + 1):
-                factors.append((-2 * t, [y - x for x, y in zip(ua, uc)]))
+    for a, c in combinations(range(1, top + 1), 2):
+        above = u_qtilde(1, u_pair(ell, a, c))
+        below = u_qtilde(0, u_pair(ell, c, a))
+        factors += [(-2 * t, above) for t in range(1, r[ell - c] + 1)]
+        factors += [(-2 * t, below) for t in range(1, r[ell - a] + 1)]
     return factors
 
 
 def verify_theorem_Z(r, n_max):
     """Check the qtilde product form against the localization sum."""
-    from .localization import brute_force_Z
     return series_diff_report(brute_force_Z(r, n_max), theorem_Z(r, n_max))
 
 

@@ -101,6 +101,8 @@ def box_count_table(mu, ell):
 def appendixA_report(max_size):
     """Check both box-count bijections for every partition of size up to
     max_size, ell in {2,3,4,5}, and every admissible residue."""
+    if max_size < 0:
+        raise ValueError("max_size must be non-negative")
     failures = []
     checked = 0
     by_size = [enumerate_partitions(n) for n in range(max_size + 1)]

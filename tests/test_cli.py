@@ -504,6 +504,30 @@ def test_benchmark_verma_crop_and_second_methods_resolve(monkeypatch):
         assert callable(getattr(module, name, None)), (module.__name__, name)
 
 
+def test_benchmark_references_hold(monkeypatch):
+    """Every benchmark command line meets its stored reference, read as the
+    benchmark reads it: the exit code, a compute op's output digest, and a
+    verify op's coverage (coefficients compared plus cases checked) at
+    least the stored count."""
+    monkeypatch.syspath_prepend(os.path.join(
+        os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench"))
+    import refs
+    import tracing
+    import workloads
+    mods = tracing.load_laumon(refs.ROOT)
+    with open(refs.REFS) as fh:
+        want = json.load(fh)["ops"]
+    for line in workloads.all_command_lines():
+        args, ref = line.split(), want[line]
+        if workloads.is_verify(args):
+            code, covered = refs.coverage(mods, args)
+            assert covered >= ref["covered"], line
+        else:
+            code, out = tracing.run_inprocess(mods["cli"], args)
+            assert hashlib.sha256(out).hexdigest() == ref["sha256"], line
+        assert code == ref["exit"], line
+
+
 def test_spin_payload(capsys):
     code, out, err = run_main(capsys, "spin", "--m", "1,1", "--s", "1,2")
     assert code == 0
@@ -520,17 +544,6 @@ def test_verma_denominator(capsys):
     assert code == 0
     s = from_json_dict(json.loads(out))
     assert [s.coefficient((k, 0)) for k in range(7)] == [1, 1, 2, 3, 5, 7, 11]
-
-
-def test_verma_denominator_matches_benchmark_reference(capsys):
-    line = "verma-denominator --size 3 --max-order 6 --v-cap 4"
-    refs = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
-                        "references.json")
-    with open(refs) as f:
-        want = json.load(f)["ops"][line]
-    code, out, err = run_main(capsys, *line.split())
-    assert code == want["exit"] == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == want["sha256"]
 
 
 def test_out_file(tmp_path, capsys):
@@ -590,6 +603,22 @@ def test_negative_order_exit_2(capsys):
         code, out, err = run_main(capsys, *argv, "--max-order", "-3")
         assert (code, out) == (2, ""), command
         assert "--max-order must be >= %d" % least in err
+
+
+def test_uncaught_exception_exits_3(capsys, monkeypatch):
+    """A crash is an internal error (3), never a discrepancy (1): a series
+    assertion prints one line, any other exception its traceback."""
+    for exc, shown in ((series.SeriesError("bad kernel"),
+                        "internal error: bad kernel"),
+                       (RuntimeError("bad handler"),
+                        "RuntimeError: bad handler")):
+        def crash(cfg, exc=exc):
+            raise exc
+        monkeypatch.setitem(cli._HANDLERS, "spin", crash)
+        code, out, err = run_main(capsys, "spin", "--m", "1", "--s", "1")
+        assert (code, out) == (3, ""), exc
+        assert shown in err
+    assert err.startswith("Traceback (most recent call last):")
 
 
 def test_module_entry_point():

@@ -1,11 +1,14 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from laumon.closed_form import (theorem_Z, theorem_Z_u, u_exponents,
-                                verify_appendixB, verify_change_of_variables,
+from laumon import closed_form
+from laumon.closed_form import (theorem_Z, theorem_Z_u, u_exponents, u_pair,
+                                u_qtilde, verify_appendixB,
+                                verify_change_of_variables,
                                 verify_partition_identity, verify_theorem_Z)
-from laumon import localization
 from laumon.localization import brute_force_Z
 from laumon.series import Series
 
@@ -72,6 +75,39 @@ def test_u_exponents():
         u_exponents(3, 4)
 
 
+def _hand_expanded(ell, a, c):
+    """qtilde vectors of the families z u_a u_c^(-1) and u_a^(-1) u_c, as
+    theorem_Z_u once wrote them out from u_exponents."""
+    ua, uc = u_exponents(ell, a), u_exponents(ell, c)
+    return ([1 + x - y for x, y in zip(ua, uc)],
+            [y - x for x, y in zip(ua, uc)])
+
+
+def test_u_qtilde_matches_hand_expanded_families():
+    assert u_pair(3, 1, 3) == (1, 0, -1)
+    for ell in range(2, 7):
+        assert u_qtilde(1, (0,) * ell) == [1] * ell
+        for a, c in itertools.combinations(range(1, ell + 1), 2):
+            above, below = _hand_expanded(ell, a, c)
+            assert u_qtilde(1, u_pair(ell, a, c)) == above
+            assert u_qtilde(0, u_pair(ell, c, a)) == below
+
+
+def _zu(ell):
+    small = st.integers(-3, 3)
+    return st.tuples(small, st.lists(small, min_size=ell, max_size=ell)
+                     .map(tuple))
+
+
+@given(st.integers(1, 6).flatmap(lambda ell: st.tuples(_zu(ell), _zu(ell))),
+       st.integers(-3, 3))
+def test_u_qtilde_is_linear(pair, k):
+    (z1, u1), (z2, u2) = pair
+    summed = u_qtilde(z1 + k * z2, tuple(x + k * y for x, y in zip(u1, u2)))
+    assert summed == [x + k * y for x, y in zip(u_qtilde(z1, u1),
+                                                u_qtilde(z2, u2))]
+
+
 def test_partition_identity():
     assert verify_partition_identity(0, 2, 0) == {"equal": True,
                                                   "coefficients": 1}
@@ -98,11 +134,11 @@ def test_appendixB():
 
 
 def test_report_structure_on_difference(monkeypatch):
-    # a wrong localization side; verify_theorem_Z looks it up at call time
+    # a wrong localization side, patched where verify_theorem_Z binds it
     def plus_one(r, n):
         z = theorem_Z(r, n)
         return z + Series.one(z.space)
-    monkeypatch.setattr(localization, "brute_force_Z", plus_one)
+    monkeypatch.setattr(closed_form, "brute_force_Z", plus_one)
     rep = verify_theorem_Z((1, 1), 2)
     assert rep["equal"] is False
     assert rep["first_diff"]["exp"] == {}

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from laumon.partitions import (box_count_table, boxes, col_heights,
+from laumon.partitions import (appendixA_report, box_count_table, boxes,
+                               col_heights,
                                colored_counts, count_N1_geq, count_N1_gt,
                                count_N2_geq, enumerate_partitions,
                                partition_sum_lhs)
@@ -115,6 +116,13 @@ def test_count_bijections_small_grid():
                     assert [t[c % ell] for t in table] == [g1, gt, g2]
                     assert g1 == g2
                     assert gt == g2 - (mu[0] if mu and c == 0 else 0)
+
+
+def test_appendixA_report_refuses_a_negative_size():
+    # sizes up to -1 hold no partition: a report would PASS over 0 cases
+    with pytest.raises(ValueError):
+        appendixA_report(-1)
+    assert appendixA_report(0)["checked"] > 0
 
 
 @given(st.integers(0, 20).flatmap(lambda n: st.sampled_from(enumerate_partitions(n))),
