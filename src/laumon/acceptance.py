@@ -71,7 +71,7 @@ def _u_variable_product(v):
 def _w_factorization(v):
     # BLOCKS[0] has one block: the L = 1 case, its W-character alone is Z
     bad = ["m=%s s=%s" % (list(m), list(s)) for m, s in BLOCKS
-           if not characters.verify_WZ(characters.BlockData(m, s), 4)["equal"]]
+           if not characters.verify_WZ(m, s, 4)["equal"]]
     return (not bad, "4 block shapes at order 4, with localization cross-check"
             + _listed("; failed: ", bad))
 

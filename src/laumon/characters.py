@@ -73,56 +73,51 @@ def rank_vector_from(b):
     return tuple(out)
 
 
-def x_i_factors(b, i):
+def _u_pairs(b, i, j, ys):
+    """Factors over the index pairs (a, c), a in block i and c in block j,
+    or a < c both in block i when j is None: for each entry (zy, uy) of
+    `ys(s_i, s_j)`, one per t, (y^zy z u_a u_c^(-1))_inf^(-1) and
+    (y^uy u_c u_a^(-1))_inf^(-1), a side left out when its exponent is
+    None.  Inside one block the m_i diagonal factors (y^zy z)_inf^(-1)
+    lead each t.  The indices are checked before b.s or b.m is read."""
+    if j is None:
+        pairs, j = itertools.combinations(b.block(i), 2), i
+    elif 1 <= i < j <= b.L:
+        pairs = itertools.product(b.block(i), b.block(j))
+    else:
+        raise ValueError("need 1 <= i < j <= L")
     ell = b.ell
-    si = b.s[i - 1]
-    mi = b.m[i - 1]
-    blk = b.block(i)
-    zero = (0,) * ell
+    us = [(u_pair(ell, a, c), u_pair(ell, c, a)) for a, c in pairs]
     out = []
-    for t in range(1, si + 1):
-        out.extend([UZFactor(-2 * t, 1, zero)] * mi)
-        for a, c in itertools.combinations(blk, 2):
-            out.append(UZFactor(-2 * t, 1, u_pair(ell, a, c)))
-            out.append(UZFactor(-2 * t, 0, u_pair(ell, c, a)))
+    for zy, uy in ys(b.s[i - 1], b.s[j - 1]):
+        if i == j:
+            out += [UZFactor(zy, 1, (0,) * ell)] * b.m[i - 1]
+        for above, below in us:
+            if zy is not None:
+                out.append(UZFactor(zy, 1, above))
+            if uy is not None:
+                out.append(UZFactor(uy, 0, below))
     return out
+
+
+def x_i_factors(b, i):
+    return _u_pairs(b, i, None,
+                    lambda si, _: [(-2 * t, -2 * t) for t in range(1, si + 1)])
 
 
 def x_ij_factors(b, i, j):
-    if not 1 <= i < j <= b.L:
-        raise ValueError("need 1 <= i < j <= L")
-    ell = b.ell
-    si = b.s[i - 1]
-    sj = b.s[j - 1]
-    out = []
-    for t in range(1, si + 1):
-        for a in b.block(i):
-            for c in b.block(j):
-                out.append(UZFactor(-2 * t + 2 * (si - sj), 1, u_pair(ell, a, c)))
-                out.append(UZFactor(-2 * t, 0, u_pair(ell, c, a)))
-    return out
+    return _u_pairs(b, i, j, lambda si, sj: [
+        (-2 * t + 2 * (si - sj), -2 * t) for t in range(1, si + 1)])
 
 
 def b_character_factors(b, i, j):
-    if not 1 <= i < j <= b.L:
-        raise ValueError("need 1 <= i < j <= L")
-    ell = b.ell
-    out = []
-    for t in range(1, b.s[j - 1] - b.s[i - 1] + 1):
-        for a in b.block(i):
-            for c in b.block(j):
-                out.append(UZFactor(-2 * t, 1, u_pair(ell, a, c)))
-    return out
+    return _u_pairs(b, i, j, lambda si, sj: [
+        (-2 * t, None) for t in range(1, sj - si + 1)])
 
 
 def betagamma_factors(b, i, j):
-    ell = b.ell
-    out = list(b_character_factors(b, i, j))
-    for t in range(1, b.s[j - 1] - b.s[i - 1] + 1):
-        for a in b.block(i):
-            for c in b.block(j):
-                out.append(UZFactor(2 - 2 * t, 0, u_pair(ell, c, a)))
-    return out
+    return b_character_factors(b, i, j) + _u_pairs(b, i, j, lambda si, sj: [
+        (None, 2 - 2 * t) for t in range(1, sj - si + 1)])
 
 
 def factor_base_canonical(space, r, f):
@@ -163,13 +158,15 @@ def w_refined_verma_factors(b):
     return out
 
 
-def verify_WZ(b, n_max):
-    """Check the product form of the generating function against the
-    refined Verma character times the B-truncation characters.
+def verify_WZ(m, s, n_max):
+    """Check the product form of the generating function of the blocks
+    (m, s) against the refined Verma character times the B-truncation
+    characters.
 
     Also cross-checks the left side against the localization sum;
     `brute_coefficients` counts the coefficients that cross-check compared.
     """
+    b = BlockData(m, s)
     if b.ell < 2:
         raise ValueError("need ell >= 2")
     r = rank_vector_from(b)
@@ -246,7 +243,7 @@ def free_field_counts(b):
     return {"diagonal": diag, "pairs": pairs}
 
 
-def verma_space(N, n_max, v_cap=4):
+def verma_space(N, n_max, v_cap):
     names = ("z",) + tuple("v%d" % i for i in range(1, N + 1))
     caps = {name: v_cap for name in names[1:]}
     return VariableSpace(names, ("z",), n_max, caps)
@@ -292,7 +289,7 @@ def affine_verma_factors(N):
     return out
 
 
-def affine_verma_denominator(N, n_max, v_cap=4):
+def affine_verma_denominator(N, n_max, v_cap):
     """Inverse of the product of `affine_verma_factors(N)`, z-graded to
     order n_max and cropped to v exponents of absolute value <= v_cap; the
     highest-weight prefactor prod v_i^(x_i) is dropped.  Every coefficient
@@ -302,7 +299,7 @@ def affine_verma_denominator(N, n_max, v_cap=4):
     return _expand_zv(N, n_max, v_cap, affine_verma_factors(N))
 
 
-def x_i_unrefined_zu(b, i, n_max, v_cap=4):
+def x_i_unrefined_zu(b, i, n_max, v_cap):
     """Expansion of the X_i factor block at y=1 with the u's kept formal:
     u_c becomes the variable v_c (including u_ell) and z stays its own
     z-graded variable, so the result is directly comparable with the
@@ -310,7 +307,7 @@ def x_i_unrefined_zu(b, i, n_max, v_cap=4):
     return _expand_zv(b.ell, n_max, v_cap, x_i_factors(b, i))
 
 
-def verify_verma_vs_X1(N, n_max=4, v_cap=4, denominator=None):
+def verify_verma_vs_X1(N, n_max, v_cap, denominator=None):
     """Two-sided check that the single-block character at y=1 and the
     affine Verma denominator coincide under u_c <-> v_c.
 

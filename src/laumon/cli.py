@@ -197,12 +197,6 @@ def _call(module, func, title=None):
     return handler
 
 
-def _h_verify_wz(cfg):
-    from .characters import BlockData, verify_WZ
-    rep = verify_WZ(BlockData(cfg.m, cfg.s), cfg.max_order)
-    return _verify_out("W-character factorization", cfg, rep)
-
-
 def _h_fixed_points(cfg):
     from . import localization
     r = _checked_ranks(cfg)
@@ -358,7 +352,8 @@ COMMANDS = {
                       _call("closed_form", "verify_change_of_variables",
                             "u-variable vs qtilde product")),
     "verify-wz": ("check the W-character factorization of Z",
-                  {**_BLOCKS, **_order(4, 1)}, _h_verify_wz),
+                  {**_BLOCKS, **_order(4, 1)},
+                  _call("characters", "verify_WZ", "W-character factorization")),
     "verify-appendixA": ("box-count bijections over a partition grid",
                          _order(12), _call("partitions", "appendixA_report",
                                            "box-count bijections")),

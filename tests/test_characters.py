@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from laumon import characters as ch
-from laumon.closed_form import theorem_Z
+from laumon.closed_form import _u_pair_factors, theorem_Z, u_qtilde
 from laumon.series import Series, render_text
 
 
@@ -80,6 +81,21 @@ def test_B_character_small_value():
         ch.betagamma_factors(b, 1, 1)
 
 
+@pytest.mark.parametrize("m", [(1,), (2, 1), (1, 3, 1)])
+def test_block_index_errors_are_value_errors(m):
+    """Every builder checks its block indices before it reads b.s or b.m."""
+    b = ch.BlockData(m, range(1, len(m) + 1))
+    for i in (0, b.L + 1):
+        with pytest.raises(ValueError, match="block index %d out of range 1..%d"
+                           % (i, b.L)):
+            ch.x_i_factors(b, i)
+    for build in (ch.x_ij_factors, ch.b_character_factors,
+                  ch.betagamma_factors):
+        for i, j in ((1, 1), (2, 1), (1, b.L + 1)):
+            with pytest.raises(ValueError, match="need 1 <= i < j <= L"):
+                build(b, i, j)
+
+
 def test_betagamma_contains_B_factors():
     b = ch.BlockData((1, 2), (1, 2))
     bf = ch.b_character_factors(b, 1, 2)
@@ -114,12 +130,39 @@ def test_w_refined_verma_factorwise():
 
 
 def test_verify_WZ():
-    rep = ch.verify_WZ(ch.BlockData((1, 1), (1, 2)), 4)
+    rep = ch.verify_WZ((1, 1), (1, 2), 4)
     assert rep == {"equal": True, "coefficients": 47, "brute_checked": True,
                    "brute_equal": True, "brute_coefficients": 47}
-    rep = ch.verify_WZ(ch.BlockData((2, 1), (1, 2)), 3)
+    rep = ch.verify_WZ((2, 1), (1, 2), 3)
     assert rep == {"equal": True, "coefficients": 46, "brute_checked": True,
                    "brute_equal": True, "brute_coefficients": 46}
+
+
+@st.composite
+def block_shapes(draw):
+    """BlockData with L <= 3, m_i <= 3, labels <= 6 and ell >= 2."""
+    big_l = draw(st.integers(1, 3))
+    m = draw(st.lists(st.integers(1, 3), min_size=big_l, max_size=big_l)
+             .filter(lambda m: sum(m) >= 2))
+    s = draw(st.sets(st.integers(1, 6), min_size=big_l, max_size=big_l))
+    return ch.BlockData(m, sorted(s))
+
+
+@settings(max_examples=60)
+@given(block_shapes())
+def test_w_factorization_factor_by_factor(b):
+    """The refined Verma factors and every B_ij are, as a multiset, the
+    families of theorem_Z_u at r = rank_vector_from(b): X_ij's z side and
+    B_ij together cover t = 1..s_j.  No series is expanded."""
+    factors = ch.w_refined_verma_factors(b)
+    for i, j in combinations(range(1, b.L + 1), 2):
+        factors += ch.b_character_factors(b, i, j)
+    r = ch.rank_vector_from(b)
+    diagonal = u_qtilde(1, (0,) * b.ell)
+    families = [(-2 * t, diagonal) for ra in r for t in range(1, ra + 1)]
+    families += _u_pair_factors(r, b.ell)
+    assert (Counter((f.y, tuple(u_qtilde(f.z, f.u))) for f in factors)
+            == Counter((y, tuple(q)) for y, q in families))
 
 
 def test_spin_decomposition_examples():

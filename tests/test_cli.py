@@ -423,6 +423,16 @@ PINNED_OUTPUTS = {
         "characters --m 2,1,1 --s 1,2,4 --max-order 6",
         {"json": "aa25ab6c5230167a038bc79642bf22a602083520a349c75de30fbc09bc0c8886",
          "text": "1be6f9aac3278ef08dc90514678986b2401ccfe60d3688e1a913074552da7cc8"}),
+    # the bytes printed when each block builder walked its own index pairs:
+    # blocks of three and two indices, several pairs per t
+    "characters-three-indices": (
+        "characters --m 3,2 --s 2,3 --max-order 4",
+        {"json": "a3969dfbdcb4e9f3ce7cadab04b108ae9abe38574f1e9690749fc4ce2a616748",
+         "text": "15ca0a74067014778c919bb5eb5c171980f69c10e12ff6de1134f71cd1261d27"}),
+    "verify-wz-three-indices": (
+        "verify-wz --m 3,2 --s 2,3 --max-order 4",
+        {"json": "594d4f8bc358d547ad249f64f797fdc31bbeef1c951fd841facba25821565aed",
+         "text": "9c44d48fd7aec6c5157d8778bd0ed163b3968615a8699d797c4753375385babb"}),
     # the bytes printed when criterion 4 also compared the one-block
     # W-character with Z itself, the comparison verify_WZ makes on BLOCKS[0]
     "acceptance": (
@@ -703,16 +713,16 @@ def test_closed_stdout_pipe_exits_quietly():
     and nothing on stderr."""
     env = dict(os.environ, PYTHONPATH=os.path.join(
         os.path.dirname(__file__), os.pardir, "src"))
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "laumon", "zr-closed", "--ranks", "2,2,2",
-         "--max-order", "12"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    # the output (about 700 KB) outgrows the pipe, so the program is still
-    # writing when the pipe closes
-    assert len(proc.stdout.read(10)) == 10
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait() == 141
+    with subprocess.Popen(
+            [sys.executable, "-m", "laumon", "zr-closed", "--ranks", "2,2,2",
+             "--max-order", "12"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        # the output (about 700 KB) outgrows the pipe, so the program is
+        # still writing when the pipe closes
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait() == 141
     assert err == b""
 
 
