@@ -135,8 +135,7 @@ def _free_field_difference(v):
 
 
 def _verma_vs_single_block(v):
-    return (all(characters.verify_verma_vs_X1(*t, v["verma"].get(t))["equal"]
-                for t in VERMA),
+    return (all(characters.verify_verma_vs_X1(*t)["equal"] for t in VERMA),
             "(N, z-degree, v-cap) in %s, both directions"
             % ", ".join("(%d,%d,%d)" % t for t in VERMA))
 

@@ -152,9 +152,8 @@ def w_refined_verma_factors(b):
     out = []
     for i in range(1, b.L + 1):
         out.extend(x_i_factors(b, i))
-    for i in range(1, b.L + 1):
-        for j in range(i + 1, b.L + 1):
-            out.extend(x_ij_factors(b, i, j))
+    for i, j in itertools.combinations(range(1, b.L + 1), 2):
+        out.extend(x_ij_factors(b, i, j))
     return out
 
 
@@ -172,9 +171,8 @@ def verify_WZ(m, s, n_max):
     r = rank_vector_from(b)
     lhs = theorem_Z(r, n_max)
     factors = w_refined_verma_factors(b)
-    for i in range(1, b.L + 1):
-        for j in range(i + 1, b.L + 1):
-            factors.extend(b_character_factors(b, i, j))
+    for i, j in itertools.combinations(range(1, b.L + 1), 2):
+        factors.extend(b_character_factors(b, i, j))
     rhs = expand_factors(b, factors, n_max)
     report = series_diff_report(lhs, rhs)
     brep = series_diff_report(brute_force_Z(r, n_max), lhs)
@@ -197,13 +195,12 @@ def spin_decomposition(b):
         mi = b.m[i - 1]
         for J in range(1, b.s[i - 1] + 1):
             out.append(((i, i), 2 * J - 1, mi * mi))
-    for i in range(1, b.L + 1):
-        for j in range(i + 1, b.L + 1):
-            mult = 2 * b.m[i - 1] * b.m[j - 1]
-            si = b.s[i - 1]
-            sj = b.s[j - 1]
-            for d in range(sj - si + 1, si + sj, 2):
-                out.append(((i, j), d, mult))
+    for i, j in itertools.combinations(range(1, b.L + 1), 2):
+        mult = 2 * b.m[i - 1] * b.m[j - 1]
+        si = b.s[i - 1]
+        sj = b.s[j - 1]
+        for d in range(sj - si + 1, si + sj, 2):
+            out.append(((i, j), d, mult))
     return out
 
 
@@ -225,21 +222,19 @@ def free_field_counts(b):
         si = b.s[i - 1]
         diag.append({"i": i, "fermions": mi * mi * si * (si - 1)})
     pairs = []
-    for i in range(1, b.L + 1):
-        for j in range(i + 1, b.L + 1):
-            mm = b.m[i - 1] * b.m[j - 1]
-            si = b.s[i - 1]
-            sj = b.s[j - 1]
-            if (sj - si) % 2 == 0:
-                direct = {"fermions": 2 * mm * si * (sj - 1), "betagamma": 0}
-            else:
-                direct = {"fermions": 2 * mm * si * sj, "betagamma": mm * si}
-            if si % 2 == 1:
-                iterated = {"fermions": 2 * mm * sj * (si - 1), "betagamma": 0}
-            else:
-                iterated = {"fermions": 2 * mm * si * sj, "betagamma": mm * sj}
-            pairs.append({"i": i, "j": j, "direct": direct,
-                          "iterated": iterated})
+    for i, j in itertools.combinations(range(1, b.L + 1), 2):
+        mm = b.m[i - 1] * b.m[j - 1]
+        si = b.s[i - 1]
+        sj = b.s[j - 1]
+        if (sj - si) % 2 == 0:
+            direct = {"fermions": 2 * mm * si * (sj - 1), "betagamma": 0}
+        else:
+            direct = {"fermions": 2 * mm * si * sj, "betagamma": mm * si}
+        if si % 2 == 1:
+            iterated = {"fermions": 2 * mm * sj * (si - 1), "betagamma": 0}
+        else:
+            iterated = {"fermions": 2 * mm * si * sj, "betagamma": mm * sj}
+        pairs.append({"i": i, "j": j, "direct": direct, "iterated": iterated})
     return {"diagonal": diag, "pairs": pairs}
 
 
@@ -307,24 +302,21 @@ def x_i_unrefined_zu(b, i, n_max, v_cap):
     return _expand_zv(b.ell, n_max, v_cap, x_i_factors(b, i))
 
 
-def verify_verma_vs_X1(N, n_max, v_cap, denominator=None):
+def verify_verma_vs_X1(N, n_max, v_cap):
     """Two-sided check that the single-block character at y=1 and the
     affine Verma denominator coincide under u_c <-> v_c.
 
     Check one expands the Verma factors in the canonical (y, q) space under
     z -> q_0..q_{N-1} and v_c -> the y=1 resolution of u_c, and compares
     with X_1 restricted at y=1.  Check two expands the X_1 factors in the
-    (z, v) space and compares with the denominator on its whole window.
-    `denominator`, if given, is affine_verma_denominator(N, n_max, v_cap)
-    already computed."""
+    (z, v) space and compares with the denominator on its whole window."""
     b = BlockData((N,), (1,))
     mapped = expand_product((0,) * N, n_max, [
         (0, u_qtilde(f.z, f.u)) for f in affine_verma_factors(N)])
     x1 = expand_factors(b, x_i_factors(b, 1), n_max)
     rep1 = series_diff_report(mapped, x1.restrict("y"))
-    if denominator is None:
-        denominator = affine_verma_denominator(N, n_max, v_cap)
-    rep2 = series_diff_report(denominator, x_i_unrefined_zu(b, 1, n_max, v_cap))
+    rep2 = series_diff_report(affine_verma_denominator(N, n_max, v_cap),
+                              x_i_unrefined_zu(b, 1, n_max, v_cap))
     return {"equal": rep1["equal"] and rep2["equal"],
             "checks": [dict(rep1, name="substituted_vs_X1"),
                        dict(rep2, name="direct_zu_vs_denominator")]}

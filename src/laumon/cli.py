@@ -200,11 +200,10 @@ def _call(module, func, title=None):
 def _h_fixed_points(cfg):
     from . import localization
     r = _checked_ranks(cfg)
-    n = localization.check_occupation(cfg.n, len(r))
-    fps = localization.enumerate_fixed_points(r, n)
+    fps = localization.enumerate_fixed_points(r, cfg.n)
     entries = [{"mus": [list(mu) for mu in fp.mus], "morse": w}
                for fp, w in zip(fps, localization.morse_indices(r, fps))]
-    payload = {"r": list(r), "n": list(n), "fixed_points": entries}
+    payload = {"r": list(r), "n": list(cfg.n), "fixed_points": entries}
 
     def text():
         lines = ["%d fixed points" % len(entries)]
@@ -217,14 +216,13 @@ def _h_fixed_points(cfg):
 def _h_morse(cfg):
     from . import localization
     r = _checked_ranks(cfg)
-    n = localization.check_occupation(cfg.n, len(r))
-    fps = localization.enumerate_fixed_points(r, n)
+    fps = localization.enumerate_fixed_points(r, cfg.n)
     entries = [{"mus": [list(mu) for mu in fp.mus], "formula": wf,
                 "oracle": wo} for fp, (_, wf, _, _, wo)
                in zip(fps, localization.fixed_point_data(r, fps))]
     agree = all(e["formula"] == e["oracle"] for e in entries)
     poincare = dict(sorted(Counter(2 * e["formula"] for e in entries).items()))
-    payload = {"r": list(r), "n": list(n), "fixed_points": entries,
+    payload = {"r": list(r), "n": list(cfg.n), "fixed_points": entries,
                "poincare": {str(e): c for e, c in poincare.items()},
                "agree": agree}
 
@@ -243,8 +241,7 @@ def _h_morse(cfg):
 def _h_tangent(cfg):
     from . import localization
     r = _checked_ranks(cfg)
-    n = localization.check_occupation(cfg.n, len(r))
-    fps = localization.enumerate_fixed_points(r, n)
+    fps = localization.enumerate_fixed_points(r, cfg.n)
 
     def counts(fp):
         tc = localization.tangent_character(fp, r)
@@ -262,7 +259,7 @@ def _h_tangent(cfg):
                 "invariant_terms": inv}
 
     # an iterator: each fixed point is written as soon as it is computed
-    payload = {"r": list(r), "n": list(n), "fixed_points": map(entry, fps)}
+    payload = {"r": list(r), "n": list(cfg.n), "fixed_points": map(entry, fps)}
 
     def text():
         lines = ["mus=%s total=%d invariant=%d" % (_dumps(mus), total, inv)

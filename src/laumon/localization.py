@@ -5,7 +5,8 @@ for the generating function of Poincare polynomials.
 This module is the independent oracle against which the closed-form
 product expressions are verified.  Fixed points of a component indexed by
 a rank vector r and an occupation vector n are tuples of colored Young
-diagrams, one per sector 1..sum(r), whose combined color counts equal n.
+diagrams, one per sector 1..sum(r), whose combined color counts equal n;
+`sectors(r)` lays out each sector's residue and offset, once.
 Per-fixed-point data (Morse indices, tangent characters) enumerates the
 tuples; the generating function factors over the components instead: it
 multiplies R reweighted copies of the colored partition sum of Lemma 3.2,
@@ -36,26 +37,27 @@ def check_ranks(r):
     return r
 
 
-def check_occupation(n, ell):
-    n = tuple(int(x) for x in n)
-    if len(n) != ell:
-        raise ValueError("occupation vector length %d does not match ell=%d"
-                         % (len(n), ell))
-    if any(x < 0 for x in n):
-        raise ValueError("occupation entries must be non-negative")
-    return n
+def sectors(r):
+    """The (a, offset) of each sector beta = 1..sum(r), in order: its
+    residue a, the unique a with r_0+..+r_{a-1} < beta <= r_0+..+r_a, and
+    its in-residue offset r_0+..+r_a - beta + 1, which is at least 1."""
+    return [(a, ra - k) for a, ra in enumerate(r) for k in range(ra)]
 
 
 def sector_index(beta, r):
-    """The unique a with r_0+..+r_{a-1}+1 <= beta <= r_0+..+r_a."""
+    """The residue a of sector beta, read from `sectors`."""
     if not 1 <= beta <= sum(r):
         raise ValueError("beta=%d out of range 1..%d" % (beta, sum(r)))
-    acc = 0
-    for a, ra in enumerate(r):
-        acc += ra
-        if beta <= acc:
-            return a
-    raise AssertionError("unreachable")
+    return sectors(r)[beta - 1][0]
+
+
+def pair_classes(r):
+    """(alpha, beta, a(beta) - a(alpha) mod ell, alpha < beta) of each
+    ordered sector pair, 0-based, alpha outer and beta inner; a pair's
+    tangent terms depend only on its two diagrams and this class."""
+    res = [a for a, _ in sectors(r)]
+    return [(alpha, beta, (b - a) % len(r), alpha < beta)
+            for alpha, a in enumerate(res) for beta, b in enumerate(res)]
 
 
 class FixedPoint:
@@ -69,9 +71,11 @@ class FixedPoint:
     def occupation(self, r):
         """Combined per-color box counts of all components."""
         ell = len(r)
+        secs = sectors(r)
+        _check_length(self, len(secs))
         n = [0] * ell
-        for beta, mu in enumerate(self.mus, start=1):
-            cc = colored_counts(mu, sector_index(beta, r), ell)
+        for (a, _), mu in zip(secs, self.mus):
+            cc = colored_counts(mu, a, ell)
             for b in range(ell):
                 n[b] += cc[b]
         return tuple(n)
@@ -90,21 +94,15 @@ def _compositions(total, parts):
             yield (first,) + rest
 
 
-def _all_tuples(r, total):
-    """All fixed points of total box count exactly `total`, canonical order."""
-    by_size = [enumerate_partitions(k) for k in range(total + 1)]
-    for comp in _compositions(total, sum(r)):
-        for mus in itertools.product(*(by_size[k] for k in comp)):
-            yield FixedPoint(mus)
-
-
 def fixed_points_of_size(r, total):
     """All fixed points with total box count exactly `total`, across all
     occupation vectors, in canonical order."""
     r = check_ranks(r)
     if total < 0:
         raise ValueError("total must be non-negative")
-    return list(_all_tuples(r, total))
+    by_size = [enumerate_partitions(k) for k in range(total + 1)]
+    return [FixedPoint(mus) for comp in _compositions(total, sum(r))
+            for mus in itertools.product(*(by_size[k] for k in comp))]
 
 
 def enumerate_fixed_points(r, n):
@@ -117,22 +115,27 @@ def enumerate_fixed_points(r, n):
     ways to fill the last components are found once per occupation left.
     """
     r = check_ranks(r)
-    n = check_occupation(n, len(r))
     ell = len(r)
+    n = tuple(int(x) for x in n)
+    if len(n) != ell:
+        raise ValueError("occupation vector length %d does not match ell=%d"
+                         % (len(n), ell))
+    if any(x < 0 for x in n):
+        raise ValueError("occupation entries must be non-negative")
     by_size = [enumerate_partitions(k) for k in range(sum(n) + 1)]
-    sectors = [sector_index(b, r) for b in range(1, sum(r) + 1)]
+    res = [a for a, _ in sectors(r)]
     choices = {a: [((k, i, mu), colored_counts(mu, a, ell))
                    for k, mus in enumerate(by_size) for i, mu in enumerate(mus)]
-               for a in set(sectors)}
+               for a in set(res)}
     memo = {}
 
     def fill(beta, left):
         """Every choice of components beta, beta + 1, ... using up `left`."""
-        if beta == len(sectors):
+        if beta == len(res):
             return [()] if not any(left) else []
         if (beta, left) not in memo:
             out = []
-            for item, counts in choices[sectors[beta]]:
+            for item, counts in choices[res[beta]]:
                 rest = tuple(map(sub, left, counts))
                 if min(rest) >= 0:
                     out += [(item,) + tail for tail in fill(beta + 1, rest)]
@@ -182,16 +185,13 @@ def tangent_character(fp, r):
     times the prefactor Omega^(a(beta)-a(alpha)), so the Omega exponent of
     a term equals a(beta) - a(alpha) + t2 mod ell.
     """
-    ell = len(r)
-    big_r = sum(r)
-    _check_length(fp, big_r)
-    sectors = [sector_index(b, r) for b in range(1, big_r + 1)]
+    _check_length(fp, sum(r))
     mus = fp.mus
     heights = [col_heights(mu) for mu in mus]
     return {(alpha + 1, beta + 1):
             _pair_terms(mus[alpha], heights[alpha], mus[beta], heights[beta],
-                        sectors[beta] - sectors[alpha], ell)
-            for alpha in range(big_r) for beta in range(big_r)}
+                        shift, len(r))
+            for alpha, beta, shift, _ in pair_classes(r)}
 
 
 def invariant_part(tc):
@@ -206,7 +206,7 @@ def tangent_count(tc):
 
 def _morse_term(counts, col, offset, r):
     """Index contribution of one component from its color counts, its
-    column count and its in-sector offset head(a) - beta + 1."""
+    column count and its sector's offset in `sectors`."""
     return sum(map(mul, counts, r)) - col * offset
 
 
@@ -215,7 +215,7 @@ def morse_index_formula(mu, beta, r):
     the rank entries, minus the column count times the in-sector offset."""
     a = sector_index(beta, r)
     return _morse_term(colored_counts(mu, a, len(r)), mu[0] if mu else 0,
-                       sum(r[: a + 1]) - beta + 1, r)
+                       sectors(r)[beta - 1][1], r)
 
 
 def fixed_point_morse_index(fp, r):
@@ -244,14 +244,18 @@ def morse_indices(r, fps):
     The index is a sum of one term per component, which fixed points
     share, so within one call each distinct (mu, beta) is computed once.
     """
+    secs = sectors(r)
     terms = {}
     out = []
     for fp in fps:
+        _check_length(fp, len(secs))
         w = 0
-        for beta, mu in enumerate(fp.mus, start=1):
+        for beta, mu in enumerate(fp.mus):
             key = (mu, beta)
             if key not in terms:
-                terms[key] = morse_index_formula(mu, beta, r)
+                a, offset = secs[beta]
+                terms[key] = _morse_term(colored_counts(mu, a, len(r)),
+                                         mu[0] if mu else 0, offset, r)
             w += terms[key]
         out.append(w)
     return out
@@ -264,34 +268,30 @@ def fixed_point_data(r, fps):
 
     Each is a sum over components or sector pairs, which fixed points
     share, so within one call each distinct (mu, beta) and each distinct
-    (mu_alpha, mu_beta, a(beta) - a(alpha) mod ell, alpha < beta) is
-    computed once, each mu keyed by its row tuple.  A pair's counts come
+    (mu_alpha, mu_beta) within one class of `pair_classes` is computed
+    once, each mu keyed by its row tuple.  A pair's counts come
     from its own tangent terms, so the formula and the weight count stay
     independent.
     """
     r = check_ranks(r)
     ell = len(r)
-    big_r = sum(r)
-    sectors = [sector_index(b, r) for b in range(1, big_r + 1)]
-    offsets = [sum(r[: a + 1]) - beta for beta, a in enumerate(sectors)]
-    # _pair_terms reads the shift only mod ell
-    classes = [(alpha, beta, (sectors[beta] - sectors[alpha]) % ell,
-                alpha < beta)
-               for alpha in range(big_r) for beta in range(big_r)]
+    secs = sectors(r)
+    classes = pair_classes(r)
     components = {}
     pairs = {}
     out = []
     for fp in fps:
-        _check_length(fp, big_r)
+        _check_length(fp, len(secs))
         mus = fp.mus
         n = (0,) * ell
         w = total = inv = oracle = 0
         for beta, mu in enumerate(mus):
             key = (mu, beta)
             if key not in components:
-                counts = colored_counts(mu, sectors[beta], ell)
+                a, offset = secs[beta]
+                counts = colored_counts(mu, a, ell)
                 components[key] = (counts, _morse_term(
-                    counts, mu[0] if mu else 0, offsets[beta], r))
+                    counts, mu[0] if mu else 0, offset, r))
             counts, term = components[key]
             n = tuple(map(add, n, counts))
             w += term
@@ -329,11 +329,9 @@ def brute_force_Z(r, n_max):
     ell = len(r)
     sums = {}
     out = Series.one(canonical_space(ell, n_max))
-    for beta in range(1, sum(r) + 1):
-        a = sector_index(beta, r)
+    for a, offset in sectors(r):
         if a not in sums:
             sums[a] = partition_sum_lhs(a, ell, n_max)
-        offset = sum(r[: a + 1]) - beta + 1
         # injective, as offset >= 1: no two terms meet, none cancels
         out = out * Series(out.space, {
             (2 * _morse_term(m[1:], m[0], offset, r),) + m[1:]: c

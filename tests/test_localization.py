@@ -276,6 +276,20 @@ def test_fixed_point_data_matches_per_fixed_point(r, top):
                      morse_index_oracle(fp, r)), (r, fp)
 
 
+@pytest.mark.parametrize("r, count", [((2, 2, 1), 5042), ((3, 2, 1), 10229),
+                                      ((2, 1, 1, 1), 5042)])
+def test_morse_formula_matches_tangent_index_to_total_7(r, count):
+    """The geometric input of the localization sum: at every fixed point of
+    total size <= 7 the Morse formula equals the index read off the
+    tangent weights, and the tangent space has dimension 2 R |mu|."""
+    fps = [fp for total in range(8) for fp in fixed_points_of_size(r, total)]
+    # the R-tuples of partitions: coefficients of prod_k (1 - q^k)^(-R)
+    assert len(fps) == count
+    for fp, (_, w, total, _, oracle) in zip(fps, fixed_point_data(r, fps)):
+        assert w == oracle, (r, fp)
+        assert total == 2 * sum(r) * sum(map(sum, fp.mus)), (r, fp)
+
+
 def test_fixed_points_of_size_matches_per_composition():
     """Partitions enumerated once per size give the tuples the
     per-composition enumeration gave, in the same order."""
