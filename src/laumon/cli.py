@@ -12,10 +12,18 @@ that cannot be written, as on a full disk, 3 internal error (a series
 assertion failure, or any other uncaught exception with its traceback on
 stderr), and 141 (128 + SIGPIPE, as a shell reports a process that
 SIGPIPE ended) when the reader of stdout closes it before the output is
-written.
+written.  Help follows the same rules as command output.
+
+`python -m laumon` and the `laumon` script both run `entry`, which ends
+the process with `os._exit` after flushing stdout and stderr and running
+the atexit handlers: the interpreter's teardown of objects and modules,
+several milliseconds of CPU per command, is skipped.  `main` is unchanged
+in process: it returns the exit code and never exits.
 """
 
+import atexit
 import contextlib
+import errno
 import itertools
 import os
 import sys
@@ -65,8 +73,9 @@ def _order(default, least=0):
 
 
 def _exit(name, error=None):
-    """Help generated from the table on stdout and exit 0; or, given an
-    error, the usage line and the error on stderr and exit 2."""
+    """Help generated from the table on stdout and exit 0 (141 or an
+    output error as `_write` reports them); or, given an error, the usage
+    line and the error on stderr and exit 2."""
     if name is None:
         usage, lead = "usage: laumon [-h] command ...", (
             "exact generating functions, characters, and identity checks for "
@@ -86,9 +95,8 @@ def _exit(name, error=None):
         raise SystemExit(2)
     rows.insert(0, ("-h, --help", "show this help message and exit"))
     width = max(len(flag) for flag, _ in rows)
-    print(usage, "", lead, "", *("  %-*s  %s" % (width, *row) for row in rows),
-          sep="\n")
-    raise SystemExit(0)
+    raise SystemExit(_write(None, ["\n".join(
+        [usage, "", lead, ""] + ["  %-*s  %s" % (width, *row) for row in rows])]))
 
 
 def parse_args(argv=None):
@@ -386,18 +394,18 @@ COMMANDS = {
 _HANDLERS = {name: h for name, (_, _, h) in COMMANDS.items()}
 
 
-def run(cfg):
-    code, payload, text = _HANDLERS[cfg.command](cfg)
-    # json is written chunk by chunk, each a batch of series terms, an
-    # iterator element or the text between them: the whole string would
-    # set peak memory
-    chunks = series.json_chunks(payload) if cfg.format == "json" else (text(),)
+def _write(path, chunks):
+    """Write the chunks and a newline to the file at `path`, or to stdout
+    when it is None, and flush.  Return 141 when the reader of stdout has
+    closed it, else 0; output that cannot be written raises ValueError."""
     try:
-        out = (open(cfg.out, "w") if cfg.out
-               else contextlib.nullcontext(sys.stdout))
+        out = open(path, "w") if path else contextlib.nullcontext(sys.stdout)
     except OSError as e:
         raise ValueError("cannot write --out %s: %s"
-                         % (cfg.out, e.strerror)) from None
+                         % (path, e.strerror)) from None
+    if sys.stdout is None and not path:
+        # the process started with descriptor 1 closed
+        raise ValueError("cannot write output: %s" % os.strerror(errno.EBADF))
     try:
         with out as fh:
             fh.writelines(chunks)
@@ -405,7 +413,7 @@ def run(cfg):
             # a closed pipe shows here, not at exit
             fh.flush()
     except OSError as e:
-        if not cfg.out:
+        if not path:
             # what stdout still buffers goes to devnull, so that the flush
             # at exit fails no more
             null = os.open(os.devnull, os.O_WRONLY)
@@ -415,16 +423,25 @@ def run(cfg):
             # the reader is gone
             return 141    # 128 + SIGPIPE, as a shell reports it
         raise ValueError("cannot write output: %s" % e.strerror) from None
-    return code
+    return 0
+
+
+def run(cfg):
+    code, payload, text = _HANDLERS[cfg.command](cfg)
+    # json is written chunk by chunk, each a batch of series terms, an
+    # iterator element or the text between them: the whole string would
+    # set peak memory
+    chunks = series.json_chunks(payload) if cfg.format == "json" else (text(),)
+    return _write(cfg.out, chunks) or code
 
 
 def main(argv=None):
+    """The exit code of one command line; returns, never exits."""
     try:
-        cfg = parse_args(argv)
+        return run(parse_args(argv))
     except SystemExit as e:
+        # help, or a usage error
         return int(e.code or 0)
-    try:
-        return run(cfg)
     except ValueError as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
@@ -437,5 +454,28 @@ def main(argv=None):
         return 3
 
 
+def entry(argv=None):
+    """Run `main` as a whole process and end it, skipping the interpreter's
+    teardown of objects and modules: stdout and stderr are flushed, a
+    stdout that fails at this flush is reported as `run` reports it, and
+    the atexit handlers run before `os._exit`."""
+    code = main(argv)
+    # a stream is None when the process started with its descriptor closed
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        code = 141
+    except OSError as e:
+        print("error: cannot write output: %s" % e.strerror, file=sys.stderr)
+        code = 2
+    # nowhere is left to report a stderr that cannot be written
+    with contextlib.suppress(OSError):
+        if sys.stderr is not None:
+            sys.stderr.flush()
+    atexit._run_exitfuncs()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -156,6 +156,18 @@ def test_negative_list_entry_reaches_the_validator(capsys, argv, message):
     assert (code, out, err) == (2, "", "error: %s\n" % message)
 
 
+def child_env(buffered=None):
+    """This environment with src importable, for a child interpreter; with
+    `buffered`, stdout block-buffered (True) or unbuffered (False)."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(
+        os.path.dirname(__file__), os.pardir, "src"))
+    if buffered is not None:
+        env.pop("PYTHONUNBUFFERED", None)
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
 STARTUP_CHILD = """
 import sys
 before = set(sys.modules)
@@ -171,8 +183,7 @@ print(" ".join(sorted(set(sys.modules) - before)), file=sys.stderr)
 def test_startup_imports_only_what_the_command_runs(argv):
     """In a fresh interpreter a command loads no argparse, no json and no
     laumon module it does not call."""
-    env = dict(os.environ, PYTHONPATH=os.path.join(
-        os.path.dirname(__file__), os.pardir, "src"))
+    env = child_env()
     proc = subprocess.run([sys.executable, "-c", STARTUP_CHILD] + argv,
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0 and proc.stdout
@@ -711,8 +722,7 @@ def test_unwritable_out_is_a_usage_error(capsys):
 def test_closed_stdout_pipe_exits_quietly():
     """A reader that closes stdout early ends the program with status 141
     and nothing on stderr."""
-    env = dict(os.environ, PYTHONPATH=os.path.join(
-        os.path.dirname(__file__), os.pardir, "src"))
+    env = child_env()
     with subprocess.Popen(
             [sys.executable, "-m", "laumon", "zr-closed", "--ranks", "2,2,2",
              "--max-order", "12"],
@@ -732,8 +742,7 @@ def test_full_device_is_an_output_error(form):
     """Output that cannot be written, on stdout or through --out, exits 2
     with one error line and no traceback, for output that fits the write
     buffer (the error shows at the flush) and output that outgrows it."""
-    env = dict(os.environ, PYTHONPATH=os.path.join(
-        os.path.dirname(__file__), os.pardir, "src"))
+    env = child_env()
     for line in ("spin --m 1 --s 1", "zr-closed --ranks 2,2,1 --max-order 8"):
         argv = [sys.executable, "-m", "laumon"] + line.split()
         with open("/dev/full", "w") as full:
@@ -769,6 +778,162 @@ def test_failed_stdout_write_is_an_output_error(tmp_path):
             % os.strerror(errno.ENOSPC)
         assert os.path.samestat(os.fstat(real.fileno()),
                                 os.stat(os.devnull))
+
+
+def closed_pipe():
+    """The write end of a pipe whose reader has gone."""
+    read, write = os.pipe()
+    os.close(read)
+    return os.fdopen(write, "wb")
+
+
+def laumon_child(argv, stdout=subprocess.PIPE, env=None):
+    """`python -m laumon ARGV` run to its end, stdout and stderr as bytes."""
+    return subprocess.run([sys.executable, "-m", "laumon"] + argv,
+                          stdout=stdout, stderr=subprocess.PIPE,
+                          env=env or child_env())
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["zr-closed", "--help"]],
+                         ids=["top", "command"])
+def test_help_to_a_closed_pipe_exits_quietly(argv):
+    """Help whose reader has gone exits 141 with nothing on stderr, as
+    command output does."""
+    with closed_pipe() as pipe:
+        proc = laumon_child(argv, stdout=pipe)
+    assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv", [["--help"], ["zr-closed", "--help"]],
+                         ids=["top", "command"])
+def test_help_to_a_full_device_is_an_output_error(argv):
+    """Help that cannot be written exits 2 with one error line and no
+    traceback, as command output does."""
+    with open("/dev/full", "w") as full:
+        proc = laumon_child(argv, stdout=full)
+    assert proc.returncode == 2
+    assert proc.stderr.decode().splitlines() == [
+        "error: cannot write output: %s" % os.strerror(errno.ENOSPC)]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["spin", "--m", "1", "--s", "1"]],
+                         ids=["help", "command"])
+def test_closed_stdout_descriptor_is_an_output_error(argv):
+    """A process started with descriptor 1 closed has no stdout to write
+    to: exit 2 with one error line."""
+    proc = subprocess.run(["sh", "-c", 'exec "$0" -m laumon "$@" >&-',
+                           sys.executable] + argv,
+                          capture_output=True, env=child_env())
+    assert proc.returncode == 2
+    assert proc.stderr.decode().splitlines() == [
+        "error: cannot write output: %s" % os.strerror(errno.EBADF)]
+
+
+@pytest.mark.parametrize("buffered", [True, False],
+                         ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("line", [
+    # about 700 KB, more than a pipe holds
+    "zr-closed --ranks 2,2,2 --max-order 12",
+    "zr-closed --ranks 2,2,2 --max-order 12 --out {out}",
+    "zr-closed --ranks 2,2,2 --max-order 12 --format text",
+    "zr-closed --ranks 2,2,2 --max-order -1",
+], ids=["stdout", "out", "text", "usage-error"])
+def test_process_exit_loses_no_bytes(capsys, tmp_path, line, buffered):
+    """A `python -m laumon` process, which ends without interpreter
+    teardown, writes the stdout, --out file, stderr and exit code of
+    `cli.main` in process."""
+    outs = [tmp_path / "child.out", tmp_path / "main.out"]
+    proc = laumon_child(line.format(out=outs[0]).split(),
+                        env=child_env(buffered))
+    code, out, err = run_main(capsys, *line.format(out=outs[1]).split())
+    assert (proc.returncode, proc.stdout, proc.stderr.decode()) \
+        == (code, out.encode(), err)
+    if "{out}" in line:
+        assert outs[0].read_bytes() == outs[1].read_bytes() != b""
+
+
+CRASH_CHILD = """
+from laumon import cli
+
+
+def crash(cfg):
+    raise RuntimeError("bad handler")
+
+
+cli._HANDLERS["spin"] = crash
+cli.entry(["spin", "--m", "1", "--s", "1"])
+"""
+
+
+def test_process_exit_keeps_internal_error_code():
+    """A handler that raises ends the process with exit 3 and its
+    traceback on stderr."""
+    proc = subprocess.run([sys.executable, "-c", CRASH_CHILD],
+                          capture_output=True, text=True, env=child_env())
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.startswith("Traceback (most recent call last):")
+    assert proc.stderr.endswith("RuntimeError: bad handler\n")
+
+
+PENDING_CHILD = """
+import sys
+
+from laumon import cli
+
+sys.stdout.write("pending")
+cli.entry(sys.argv[1:])
+"""
+
+
+def pending_child(tmp_path, stdout=subprocess.PIPE):
+    """PENDING_CHILD with stdout block-buffered, running a command whose
+    output goes to a file."""
+    return subprocess.run(
+        [sys.executable, "-c", PENDING_CHILD, "spin", "--m", "1", "--s", "1",
+         "--out", str(tmp_path / "out.json")],
+        stdout=stdout, stderr=subprocess.PIPE, env=child_env(buffered=True))
+
+
+def test_process_exit_flushes_stdout(tmp_path):
+    """Output still buffered in stdout when the command ends is written
+    before the process ends."""
+    proc = pending_child(tmp_path)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"pending", b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_process_exit_reports_a_failed_flush(tmp_path):
+    """A stdout that fails at the last flush gives the exit code and
+    stderr of a command whose own output fails: 141 and nothing for a
+    closed pipe, 2 and one error line for a full device."""
+    with closed_pipe() as pipe:
+        proc = pending_child(tmp_path, stdout=pipe)
+    assert (proc.returncode, proc.stderr) == (141, b"")
+    with open("/dev/full", "wb") as full:
+        proc = pending_child(tmp_path, stdout=full)
+    assert (proc.returncode, proc.stderr.decode()) == (
+        2, "error: cannot write output: %s\n" % os.strerror(errno.ENOSPC))
+
+
+ATEXIT_CHILD = """
+import atexit
+import sys
+
+from laumon import cli
+
+atexit.register(lambda: open(sys.argv[1], "w").close())
+cli.entry(["spin", "--m", "1", "--s", "1"])
+"""
+
+
+def test_process_exit_runs_atexit_handlers(tmp_path):
+    """Handlers registered with atexit run before the process ends."""
+    marker = tmp_path / "marker"
+    proc = subprocess.run([sys.executable, "-c", ATEXIT_CHILD, str(marker)],
+                          capture_output=True, env=child_env())
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert marker.exists()
 
 
 def test_appendixB_ell_2_exit_2(capsys):

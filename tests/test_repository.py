@@ -1,9 +1,12 @@
 """Rules over the source text of the repository itself."""
 
 import ast
+import importlib
 import pathlib
 import re
 from collections import Counter
+
+import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -30,3 +33,19 @@ def test_every_definition_is_referenced():
     unreferenced = sorted(name for name in defined
                           if words[name] <= definitions[name])
     assert not unreferenced
+
+
+def test_console_script_is_the_module_entry():
+    """The `laumon` script named in pyproject.toml is the function that
+    `python -m laumon` calls, so the two ways in cannot drift apart."""
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["laumon"]
+    module, _, name = target.partition(":")
+    script = getattr(importlib.import_module(module), name)
+    source = (ROOT / "src" / "laumon" / "__main__.py").read_text()
+    (guard,) = [node for node in ast.parse(source).body
+                if isinstance(node, ast.If)]
+    (call,) = [node for node in ast.walk(guard) if isinstance(node, ast.Call)]
+    main = importlib.import_module("laumon.__main__")
+    assert script is getattr(main, call.func.id)
