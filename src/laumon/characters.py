@@ -262,15 +262,15 @@ def _expand_zv(N, n_max, v_cap, factors):
                   for k in range(1, N))
     boxed = expand_product((0,) * N, N * n_max + v_cap * (N * N // 4),
                            [(0, u_qtilde(f.z, f.u)) for f in factors], bounds)
-    terms = {}
-    for m, c in boxed.terms.items():
-        z = m[1]
-        sums = [0] + [z - e for e in reversed(m[2:])] + [0]    # v_1 + .. + v_k
-        v = tuple(map(sub, sums[1:], sums[:-1]))
-        if max(map(abs, v)) <= v_cap:
-            terms[(z,) + v] = c
+    # column by column, v_k = e_(k-1) - e_k for e = (z, q{N-1}, .., q1, z)
+    cols = list(zip(*boxed.terms))
+    e = [cols[1], *cols[N:1:-1], cols[1]]
+    vs = [list(map(sub, x, y)) for x, y in zip(e, e[1:])]
+    keep = map(v_cap.__ge__, map(max, itertools.repeat(0),
+                                 *[map(abs, v) for v in vs]))
     # z <= n_max by the bound on q0, and every coefficient is positive
-    return Series(window, terms)
+    return Series(window, dict(itertools.compress(
+        zip(zip(cols[1], *vs), boxed.terms.values()), keep)))
 
 
 def affine_verma_factors(N):

@@ -72,6 +72,14 @@ def _order(default, least=0):
                             "truncation order")}
 
 
+def _stderr(*lines):
+    """Write the lines to stderr in one write, or lose them when stderr is
+    closed or fails: the exit code still tells what happened."""
+    with contextlib.suppress(OSError):
+        if sys.stderr is not None:
+            sys.stderr.write("".join(line + "\n" for line in lines))
+
+
 def _exit(name, error=None):
     """Help generated from the table on stdout and exit 0 (141 or an
     output error as `_write` reports them); or, given an error, the usage
@@ -91,7 +99,7 @@ def _exit(name, error=None):
             else " (default %s)" % o[2])) for flag, o in opts.items()]
     if error:
         prog = "laumon " + name if name else "laumon"
-        print(usage, "%s: error: %s" % (prog, error), sep="\n", file=sys.stderr)
+        _stderr(usage, "%s: error: %s" % (prog, error))
         raise SystemExit(2)
     rows.insert(0, ("-h, --help", "show this help message and exit"))
     width = max(len(flag) for flag, _ in rows)
@@ -146,9 +154,8 @@ def _checked_ranks(cfg):
     from . import localization
     r = localization.check_ranks(cfg.ranks)
     if 0 in r:
-        print("warning: rank vector %s contains a zero entry, outside the "
-              "usual assumption that every rank is positive" % (list(r),),
-              file=sys.stderr)
+        _stderr("warning: rank vector %s contains a zero entry, outside the "
+                "usual assumption that every rank is positive" % (list(r),))
     return r
 
 
@@ -251,14 +258,14 @@ def _h_tangent(cfg):
     r = _checked_ranks(cfg)
     fps = localization.enumerate_fixed_points(r, cfg.n)
 
-    def counts(fp):
-        tc = localization.tangent_character(fp, r)
-        return (tc, [list(mu) for mu in fp.mus],
-                localization.tangent_count(tc),
-                localization.tangent_count(localization.invariant_part(tc)))
+    def counts():
+        for fp, tc in zip(fps, localization.tangent_characters(r, fps)):
+            yield (tc, [list(mu) for mu in fp.mus],
+                   localization.tangent_count(tc),
+                   localization.tangent_count(localization.invariant_part(tc)))
 
-    def entry(fp):
-        tc, mus, total, inv = counts(fp)
+    def entry(item):
+        tc, mus, total, inv = item
         pairs = [{"alpha": alpha, "beta": beta,
                   "terms": [{"t1": t1, "t2": t2, "omega": om, "coeff": c}
                             for (t1, t2, om), c in sorted(terms.items())]}
@@ -267,11 +274,12 @@ def _h_tangent(cfg):
                 "invariant_terms": inv}
 
     # an iterator: each fixed point is written as soon as it is computed
-    payload = {"r": list(r), "n": list(cfg.n), "fixed_points": map(entry, fps)}
+    payload = {"r": list(r), "n": list(cfg.n),
+               "fixed_points": map(entry, counts())}
 
     def text():
         lines = ["mus=%s total=%d invariant=%d" % (_dumps(mus), total, inv)
-                 for _, mus, total, inv in map(counts, fps)]
+                 for _, mus, total, inv in counts()]
         return "\n".join(lines) if lines else "no fixed points"
     return 0, payload, text
 
@@ -443,14 +451,14 @@ def main(argv=None):
         # help, or a usage error
         return int(e.code or 0)
     except ValueError as e:
-        print("error: %s" % e, file=sys.stderr)
+        _stderr("error: %s" % e)
         return 2
     except SeriesError as e:
-        print("internal error: %s" % e, file=sys.stderr)
+        _stderr("internal error: %s" % e)
         return 3
     except Exception:
         import traceback    # only a crash needs it
-        traceback.print_exc()
+        _stderr(traceback.format_exc()[:-1])    # less the newline it adds
         return 3
 
 
@@ -467,7 +475,7 @@ def entry(argv=None):
     except BrokenPipeError:
         code = 141
     except OSError as e:
-        print("error: cannot write output: %s" % e.strerror, file=sys.stderr)
+        _stderr("error: cannot write output: %s" % e.strerror)
         code = 2
     # nowhere is left to report a stderr that cannot be written
     with contextlib.suppress(OSError):

@@ -19,6 +19,7 @@ helpers take an already-checked tuple.
 """
 
 import itertools
+from collections import Counter
 from operator import add, mul, sub
 
 from .partitions import (col_heights, colored_counts, enumerate_partitions,
@@ -153,24 +154,61 @@ def _check_length(fp, big_r):
                          % (len(fp.mus), big_r))
 
 
-def _pair_terms(rows_a, h_a, rows_b, h_b, shift, ell):
-    """Terms of one sector pair from the row lengths and column heights of
-    mu_alpha and mu_beta and shift = a(beta) - a(alpha), which counts only
-    mod ell; boxes are taken row by row, as partitions.boxes yields them."""
-    terms = {}
+def _pair_walk(rows_a, rows_b):
+    """(t1s, t2s): the T1 and T2 weights of the terms of the sector pair
+    (mu_alpha, mu_beta), one per box, before the Omega prefactor, which
+    alone depends on the sectors' residues.  Boxes are taken row by row,
+    as partitions.boxes yields them: those of mu_alpha, then of mu_beta."""
+    h_a, h_b = col_heights(rows_a), col_heights(rows_b)
+    t1s, t2s = [], []
     for j, r_a in enumerate(rows_a, start=1):
         r_b = rows_b[j - 1] if j <= len(rows_b) else 0
-        for i in range(1, r_a + 1):
-            t2 = h_a[i - 1] - j + 1
-            key = (i - r_b, t2, (shift + t2) % ell)
-            terms[key] = terms.get(key, 0) + 1
+        t1s += range(1 - r_b, r_a + 1 - r_b)
+        t2s += [h - j + 1 for h in h_a[:r_a]]
     for j, r_b in enumerate(rows_b, start=1):
         r_a = rows_a[j - 1] if j <= len(rows_a) else 0
-        for i in range(1, r_b + 1):
-            t2 = j - h_b[i - 1]
-            key = (r_a - i + 1, t2, (shift + t2) % ell)
-            terms[key] = terms.get(key, 0) + 1
-    return terms
+        t1s += range(r_a, r_a - r_b, -1)
+        t2s += [j - h for h in h_b[:r_b]]
+    return t1s, t2s
+
+
+def _pair_terms(walk, shift, ell):
+    """{(t1, t2, omega): coefficient} of a `_pair_walk` under the prefactor
+    Omega^shift, shift = a(beta) - a(alpha) mod ell, in walk order."""
+    return dict(Counter(zip(*walk, [(shift + t2) % ell for t2 in walk[1]])))
+
+
+def _walk_counts(walk, ell):
+    """A `_pair_walk`'s terms, those of Omega weight 0 under Omega^shift and
+    those of them with T2 weight < 0 (<= 0 when first = alpha < beta), at
+    index 2 rho + first, rho = -shift mod ell: `fixed_point_data`'s counts."""
+    t2s = walk[1]
+    inv, neg = [0] * ell, [0] * ell
+    for t2 in t2s:
+        inv[t2 % ell] += 1
+        neg[t2 % ell] += t2 < 0
+    zeros = t2s.count(0)
+    return [(len(t2s), inv[rho], neg[rho] + zeros * (first and not rho))
+            for rho in range(ell) for first in (0, 1)]
+
+
+def tangent_characters(r, fps):
+    """tangent_character of each fixed point of the iterable `fps`, one at
+    a time; the fixed points that share a (mu_alpha, mu_beta, shift) share
+    its terms dict, computed once per call."""
+    ell = len(r)
+    classes = pair_classes(r)
+    pairs = {}
+    for fp in fps:
+        _check_length(fp, sum(r))
+        mus = fp.mus
+        tc = {}
+        for alpha, beta, shift, _ in classes:
+            key = (mus[alpha], mus[beta], shift)
+            if key not in pairs:
+                pairs[key] = _pair_terms(_pair_walk(*key[:2]), shift, ell)
+            tc[alpha + 1, beta + 1] = pairs[key]
+        yield tc
 
 
 def tangent_character(fp, r):
@@ -185,13 +223,7 @@ def tangent_character(fp, r):
     times the prefactor Omega^(a(beta)-a(alpha)), so the Omega exponent of
     a term equals a(beta) - a(alpha) + t2 mod ell.
     """
-    _check_length(fp, sum(r))
-    mus = fp.mus
-    heights = [col_heights(mu) for mu in mus]
-    return {(alpha + 1, beta + 1):
-            _pair_terms(mus[alpha], heights[alpha], mus[beta], heights[beta],
-                        shift, len(r))
-            for alpha, beta, shift, _ in pair_classes(r)}
+    return next(tangent_characters(r, [fp]))
 
 
 def invariant_part(tc):
@@ -266,50 +298,57 @@ def fixed_point_data(r, fps):
     FixedPoint.occupation, fixed_point_morse_index, tangent_count of
     tangent_character and of its invariant_part, and morse_index_oracle.
 
-    Each is a sum over components or sector pairs, which fixed points
-    share, so within one call each distinct (mu, beta) and each distinct
-    (mu_alpha, mu_beta) within one class of `pair_classes` is computed
-    once, each mu keyed by its row tuple.  A pair's counts come
-    from its own tangent terms, so the formula and the weight count stay
-    independent.
+    Each is a sum over components or sector pairs.  Within one call each
+    distinct (mu, beta) is computed once and each distinct (mu_alpha,
+    mu_beta) walked once, for every shift; a pair's counts are read off its
+    walked boxes, so the formula and the weight count stay independent.
+    Partial sums are kept per component depth, and a fixed point adds only
+    the components after its common prefix with the one before, with their
+    pairs: both enumerations vary the last component fastest.
     """
     r = check_ranks(r)
     ell = len(r)
     secs = sectors(r)
-    classes = pair_classes(r)
+    big_r = len(secs)
+    # the pairs that component d adds, with their `_walk_counts` index
+    new_pairs = [[(alpha, beta, 2 * (-shift % ell) + first)
+                  for alpha, beta, shift, first in pair_classes(r)
+                  if max(alpha, beta) == d] for d in range(big_r)]
     components = {}
-    pairs = {}
+    walks = {}
+    # stack[d]: (occupation, w, total, inv, oracle) of the components < d
+    stack = [((0,) * ell, 0, 0, 0, 0)]
+    prev = ()
     out = []
     for fp in fps:
-        _check_length(fp, len(secs))
+        _check_length(fp, big_r)
         mus = fp.mus
-        n = (0,) * ell
-        w = total = inv = oracle = 0
-        for beta, mu in enumerate(mus):
-            key = (mu, beta)
-            if key not in components:
-                a, offset = secs[beta]
-                counts = colored_counts(mu, a, ell)
-                components[key] = (counts, _morse_term(
-                    counts, mu[0] if mu else 0, offset, r))
-            counts, term = components[key]
-            n = tuple(map(add, n, counts))
-            w += term
-        for alpha, beta, shift, alpha_first in classes:
-            mu_a, mu_b = mus[alpha], mus[beta]
-            key = (mu_a, mu_b, shift, alpha_first)
-            if key not in pairs:
-                tc = {(alpha + 1, beta + 1): _pair_terms(
-                    mu_a, col_heights(mu_a), mu_b, col_heights(mu_b), shift,
-                    ell)}
-                pairs[key] = (tangent_count(tc),
-                              tangent_count(invariant_part(tc)),
-                              morse_index_from_tangent(tc))
-            t, i, o = pairs[key]
-            total += t
-            inv += i
-            oracle += o
-        out.append((n, w, total, inv, oracle))
+        p = 0
+        while p < len(prev) and mus[p] == prev[p]:
+            p += 1
+        del stack[p + 1:]
+        for d in range(p, big_r):
+            n, w, total, inv, oracle = stack[d]
+            mu = mus[d]
+            comp = components.get((mu, d))
+            if comp is None:
+                a, offset = secs[d]
+                cc = colored_counts(mu, a, ell)
+                comp = components[mu, d] = (cc, _morse_term(
+                    cc, mu[0] if mu else 0, offset, r))
+            for alpha, beta, slot in new_pairs[d]:
+                key = (mus[alpha], mus[beta])
+                counts = walks.get(key)
+                if counts is None:
+                    counts = walks[key] = _walk_counts(_pair_walk(*key), ell)
+                t, i, o = counts[slot]
+                total += t
+                inv += i
+                oracle += o
+            stack.append((tuple(map(add, n, comp[0])), w + comp[1],
+                          total, inv, oracle))
+        out.append(stack[big_r])
+        prev = mus
     return out
 
 

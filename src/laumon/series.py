@@ -532,48 +532,55 @@ _SCALARS = {
 }
 
 
-def _text(o, nl, streams):
+def _text(o, nl, streams, shapes):
     """The text of a subtree starting at indentation nl, in one pass.  Each
     Series or iterator in it is written as a NUL, which JSON text written
     here never holds otherwise (strings escape it), and the generator of
-    its own chunks is appended to `streams`, in the order of the NULs."""
+    its own chunks is appended to `streams`, in the order of the NULs.  A
+    dict is written from the %-template of its keys and indentation, kept
+    in `shapes`: one %s for each value's text."""
     write = _SCALARS.get(type(o))
     if write is not None:
         return write(o)
     if isinstance(o, dict):
         if not o:
             return "{}"
-        inner = nl + "  "
+        shape = (*o, nl)
+        form = shapes.get(shape)
+        if form is None:
+            inner = nl + "  "
+            form = shapes[shape] = "{%s%s%s}" % (inner, ("," + inner).join([
+                _key(k).replace("%", "%%") + "%s" for k in o]), nl)
         get = _SCALARS.get
-        return "{%s%s%s}" % (inner, ("," + inner).join([
-            _key(k) + (w(v) if (w := get(type(v))) else _text(v, inner, streams))
-            for k, v in o.items()]), nl)
+        return form % tuple([
+            w(v) if (w := get(type(v)))
+            else _text(v, nl + "  ", streams, shapes) for v in o.values()])
     if isinstance(o, (list, tuple)):
         if not o:
             return "[]"
         inner = nl + "  "
         get = _SCALARS.get
         return "[%s%s%s]" % (inner, ("," + inner).join([
-            w(v) if (w := get(type(v))) else _text(v, inner, streams)
+            w(v) if (w := get(type(v))) else _text(v, inner, streams, shapes)
             for v in o]), nl)
     if isinstance(o, str):
         return encode_basestring_ascii(o)
     if isinstance(o, int):
         return int.__repr__(o)
     if isinstance(o, Series):
-        streams.append(_series_chunks(o, nl))
+        streams.append(_series_chunks(o, nl, shapes))
         return "\0"
     if isinstance(o, Iterator):
-        streams.append(_iter_chunks(o, nl))
+        streams.append(_iter_chunks(o, nl, shapes))
         return "\0"
     raise TypeError("cannot write %s as JSON" % type(o).__name__)
 
 
-def _chunks(o, nl):
+def _chunks(o, nl, shapes):
     """A subtree's text, cut at each Series and iterator, which are
     written in its place one chunk at a time."""
     streams = []
-    parts = _text(o, nl, streams).split("\0")
+    parts = _text(o, nl, streams, shapes).split("\0")
     for part, stream in zip(parts, streams):
         if part:
             yield part
@@ -582,14 +589,14 @@ def _chunks(o, nl):
         yield parts[-1]
 
 
-def _iter_chunks(it, nl):
+def _iter_chunks(it, nl, shapes):
     """An iterator's elements, drawn one at a time so only one is alive;
     the bytes are those of a list of the same elements."""
     inner = nl + "  "
     sep = "["
     for v in it:
         yield sep + inner
-        yield from _chunks(v, inner)
+        yield from _chunks(v, inner, shapes)
         sep = ","
     yield "[]" if sep == "[" else nl + "]"
 
@@ -598,18 +605,19 @@ def _iter_chunks(it, nl):
 _BATCH = 128
 
 
-def _series_chunks(s, nl):
+def _series_chunks(s, nl, shapes):
     """A series' text: the header, then one chunk per _BATCH terms, each
     built column by column, then the closing brackets."""
     sp = s.space
     i1 = nl + "  "
     i2, i3 = i1 + "  ", i1 + "    "
     head = '{%s"variables": %s,%s"grading": %s,%s"truncation": %d' % (
-        i1, _text(sp.names, i1, None), i1, _text(sp.grading, i1, None), i1,
+        i1, _text(sp.names, i1, None, shapes), i1,
+        _text(sp.grading, i1, None, shapes), i1,
         sp.truncation)
     if sp.caps:
         caps = {n: sp.caps[n] for n in sp.names if n in sp.caps}
-        head += ',%s"caps": %s' % (i1, _text(caps, i1, None))
+        head += ',%s"caps": %s' % (i1, _text(caps, i1, None, shapes))
     terms = s.terms
     if not terms:
         yield head + ',%s"terms": []%s}' % (i1, nl)
@@ -651,8 +659,8 @@ def json_chunks(obj):
     written in one pass.  Values may be dicts with str keys, lists, tuples,
     Series, str, int, bool and None; any other type raises TypeError.  An
     iterator is written as a list of what it yields, drawing one element at
-    a time."""
-    return _chunks(obj, "\n")
+    a time.  Each dict shape is rendered from one template per call."""
+    return _chunks(obj, "\n", {})
 
 
 def render_text(s):

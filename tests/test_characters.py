@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from itertools import combinations
+from operator import sub
 
 import pytest
 from hypothesis import given, settings
@@ -313,3 +314,25 @@ def test_render_factor():
     f = ch.UZFactor(-2, 1, (1, -1, 0))
     assert ch.render_factor(f) == "(y^-2*z*u1*u2^-1)_inf^-1"
     assert ch.render_factor(ch.UZFactor(0, 0, (0, 0, 0))) == "(1)_inf^-1"
+
+
+@pytest.mark.parametrize("N, n_max, v_cap", [
+    (2, 4, 4), (3, 4, 4), (2, 6, 4), (3, 6, 2), (4, 6, 4)])
+def test_pull_back_matches_the_per_term_loop(monkeypatch, N, n_max, v_cap):
+    """The bounded box pulled back to (z, v) column by column gives the
+    terms, in the same insertion order, of the loop that pulled back one
+    term at a time."""
+    boxed = []
+    real = ch.expand_product
+    monkeypatch.setattr(ch, "expand_product",
+                        lambda *args: boxed.append(real(*args)) or boxed[-1])
+    got = ch.affine_verma_denominator(N, n_max, v_cap)
+    want = {}
+    for m, c in boxed[0].terms.items():
+        z = m[1]
+        sums = [0] + [z - e for e in reversed(m[2:])] + [0]    # v_1 + .. + v_k
+        v = tuple(map(sub, sums[1:], sums[:-1]))
+        if max(map(abs, v)) <= v_cap:
+            want[(z,) + v] = c
+    assert len(want) < len(boxed[0].terms)
+    assert list(got.terms.items()) == list(want.items())

@@ -359,9 +359,13 @@ def test_tangent_streams_each_fixed_point(monkeypatch):
         "json": "ca8be108af4c4594ec783628fbb7979d1c0e0008285127782442352295b448d3",
         "text": "199819fbb1851e1a8f1528c385c05df0220b947f20c67cce03d29aff7cced341"}
     calls = []
-    tangent = localization.tangent_character
-    monkeypatch.setattr(localization, "tangent_character",
-                        lambda fp, r: calls.append(fp) or tangent(fp, r))
+    tangents = localization.tangent_characters
+
+    def hooked(r, fps):
+        for fp, tc in zip(fps, tangents(r, fps)):
+            calls.append(fp)
+            yield tc
+    monkeypatch.setattr(localization, "tangent_characters", hooked)
 
     class Out(io.StringIO):
         def write(self, text):
@@ -874,6 +878,40 @@ def test_process_exit_keeps_internal_error_code():
     assert (proc.returncode, proc.stdout) == (3, "")
     assert proc.stderr.startswith("Traceback (most recent call last):")
     assert proc.stderr.endswith("RuntimeError: bad handler\n")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["-m", "laumon", "spin", "--m", "1", "--s", "1", "--bad"], 2),
+    (["-m", "laumon", "zr-closed", "--ranks", "1", "--max-order", "2"], 2),
+    (["-c", CRASH_CHILD], 3),
+], ids=["usage-error", "value-error", "internal-error"])
+def test_closed_stderr_descriptor_keeps_the_exit_code(argv, code):
+    """A process started with descriptor 2 closed cannot report its error
+    but still exits with its code: 2 for a usage error or a rejected
+    value, 3 for an internal error."""
+    proc = subprocess.run(["sh", "-c", 'exec "$0" "$@" 2>&-',
+                           sys.executable] + argv,
+                          stdout=subprocess.PIPE, env=child_env())
+    assert (proc.returncode, proc.stdout) == (code, b"")
+
+
+@pytest.mark.parametrize("argv, lines", [
+    (["spin", "--m", "1", "--s", "1", "--bad"], 2),
+    (["zr-closed", "--ranks", "1"], 1),
+], ids=["usage-error", "value-error"])
+def test_error_report_is_one_stderr_write(argv, lines):
+    """The usage line and the error line reach stderr in one write."""
+    writes = []
+
+    class Err(io.StringIO):
+        def write(self, text):
+            writes.append(text)
+            return super().write(text)
+
+    with contextlib.redirect_stderr(Err()):
+        assert cli.main(argv) == 2
+    assert len(writes) == 1 and writes[0].count("\n") == lines
+    assert "error: " in writes[0]
 
 
 PENDING_CHILD = """

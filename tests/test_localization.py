@@ -7,7 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from laumon import acceptance
-from laumon.localization import (FixedPoint, _compositions, brute_force_Z,
+from laumon.localization import (FixedPoint, _compositions, _pair_terms,
+                                 _pair_walk, brute_force_Z,
                                  check_ranks, enumerate_fixed_points,
                                  fixed_point_data, fixed_point_morse_index,
                                  fixed_points_of_size, invariant_part,
@@ -274,6 +275,82 @@ def test_fixed_point_data_matches_per_fixed_point(r, top):
                      tangent_count(tc),
                      tangent_count(invariant_part(tc)),
                      morse_index_oracle(fp, r)), (r, fp)
+
+
+@st.composite
+def ranks_and_fixed_point_stream(draw):
+    """A rank vector, zero entries allowed, and a stream of its fixed points
+    of totals <= 3: all of them shuffled, then repeats drawn at random."""
+    r = draw(st.lists(st.integers(0, 2), min_size=2, max_size=4)
+             .filter(lambda v: 0 < sum(v) <= 5))
+    fps = [fp for total in range(draw(st.integers(0, 3)) + 1)
+           for fp in fixed_points_of_size(r, total)]
+    stream = draw(st.permutations(fps))
+    stream += draw(st.lists(st.sampled_from(fps), max_size=30))
+    return tuple(r), stream
+
+
+@settings(max_examples=40)
+@given(ranks_and_fixed_point_stream())
+@example(((1, 0, 2), [FixedPoint(mus) for mus in (
+    [(1,), (), ()], [(1,), (), (1,)], [(1,), (), (1,)], [(), (1,), ()],
+    [(2, 1), (), (1,)], [(1,), (), ()], [(1,), (1,), (1,)])]))
+def test_fixed_point_data_holds_on_any_stream(case):
+    """The prefix sums are cut wherever a component changes: fixed points
+    in any order, repeated and of mixed totals, get exactly what the
+    per-fixed-point functions give."""
+    r, stream = case
+    got = fixed_point_data(r, iter(stream))
+    assert len(got) == len(stream)
+    for fp, d in zip(stream, got):
+        tc = tangent_character(fp, r)
+        assert d == (fp.occupation(r), fixed_point_morse_index(fp, r),
+                     tangent_count(tc), tangent_count(invariant_part(tc)),
+                     morse_index_from_tangent(tc)), (r, fp)
+
+
+def test_fixed_point_data_rejects_a_wrong_component_count():
+    good = FixedPoint([(1,), (), ()])
+    for bad in ([(1,), ()], [(1,), (), (), ()]):
+        with pytest.raises(ValueError, match="components, expected 3"):
+            fixed_point_data((2, 1), [good, FixedPoint(bad)])
+
+
+def reference_pair_terms(mu_a, mu_b, shift, ell):
+    """One sector pair's terms box by box, as tangent_character built them
+    before the walk: a dict updated per box of mu_a, then of mu_b."""
+    h_a, h_b = col_heights(mu_a), col_heights(mu_b)
+    terms = {}
+    for j, r_a in enumerate(mu_a, start=1):
+        r_b = mu_b[j - 1] if j <= len(mu_b) else 0
+        for i in range(1, r_a + 1):
+            t2 = h_a[i - 1] - j + 1
+            key = (i - r_b, t2, (shift + t2) % ell)
+            terms[key] = terms.get(key, 0) + 1
+    for j, r_b in enumerate(mu_b, start=1):
+        r_a = mu_a[j - 1] if j <= len(mu_a) else 0
+        for i in range(1, r_b + 1):
+            t2 = j - h_b[i - 1]
+            key = (r_a - i + 1, t2, (shift + t2) % ell)
+            terms[key] = terms.get(key, 0) + 1
+    return terms
+
+
+def test_pair_terms_from_the_walk_match_the_box_loop():
+    """Every partition pair of total <= 8, every shift and ell 2..5: the
+    same terms in the same insertion order."""
+    mus = [mu for n in range(9) for mu in enumerate_partitions(n)]
+    pairs = [(a, b) for a in mus for b in mus if sum(a) + sum(b) <= 8]
+    assert len(pairs) == 434
+    for mu_a, mu_b in pairs:
+        walk = _pair_walk(mu_a, mu_b)
+        for ell in range(2, 6):
+            for shift in range(ell):
+                want = reference_pair_terms(mu_a, mu_b, shift, ell)
+                got = _pair_terms(walk, shift, ell)
+                assert type(got) is dict
+                assert list(got.items()) == list(want.items()), \
+                    (mu_a, mu_b, shift, ell)
 
 
 @pytest.mark.parametrize("r, count", [((2, 2, 1), 5042), ((3, 2, 1), 10229),

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from laumon import partitions
 from laumon.partitions import (appendixA_report, box_count_table, boxes,
                                col_heights,
                                colored_counts, count_N1_geq, count_N1_gt,
@@ -123,6 +124,69 @@ def test_appendixA_report_refuses_a_negative_size():
     with pytest.raises(ValueError):
         appendixA_report(-1)
     assert appendixA_report(0)["checked"] > 0
+
+
+def reference_appendixA_report(max_size):
+    """appendixA_report as it compared the tables, residue by residue."""
+    failures = []
+    checked = 0
+    by_size = [enumerate_partitions(n) for n in range(max_size + 1)]
+    for ell in (2, 3, 4, 5):
+        for mus in by_size:
+            for mu in mus:
+                n1_geq, n1_gt, n2_geq = partitions.box_count_table(mu, ell)
+                for c in range(-ell + 1, ell):
+                    checked += 1
+                    g1, g2, gt = n1_geq[c % ell], n2_geq[c % ell], n1_gt[c % ell]
+                    want_gt = g2 - (mu[0] if mu and c == 0 else 0)
+                    if g1 != g2 or gt != want_gt:
+                        failures.append({"mu": list(mu), "ell": ell,
+                                         "c": c, "n1_geq": g1, "n2_geq": g2,
+                                         "n1_gt": gt})
+    return {"equal": not failures, "checked": checked,
+            "failures": failures[:10]}
+
+
+class Table(list):
+    """A table that records each residue read from it."""
+    def __getitem__(self, i):
+        if isinstance(i, int):
+            self.reads.append(i)
+        return super().__getitem__(i)
+
+
+def test_appendixA_report_walks_residues_only_on_a_failure(monkeypatch):
+    """With a table off by one at one residue (N1> at residue 2 for
+    ell = 3, two-row partitions), the report holds the residue-by-residue
+    `checked` and first 10 failures, in order, and reads single residues
+    from the tables of the failing (mu, ell) only."""
+    real = partitions.box_count_table
+    tables = {}
+
+    def off_by_one(mu, ell):
+        table = real(mu, ell)
+        if ell == 3 and len(mu) == 2:
+            table[1][2] += 1
+        table = tuple(map(Table, table))
+        for t in table:
+            t.reads = []
+        tables[mu, ell] = table
+        return table
+
+    monkeypatch.setattr(partitions, "box_count_table", off_by_one)
+    for max_size in (0, 1, 6, 9):
+        want = reference_appendixA_report(max_size)
+        tables.clear()
+        assert appendixA_report(max_size) == want
+        read = {key for key, table in tables.items()
+                if any(t.reads for t in table)}
+        assert read == {(mu, ell) for mu, ell in tables
+                        if ell == 3 and len(mu) == 2}
+    # 97 partitions of size <= 9, 3 + 5 + 7 + 9 residues each
+    assert want["checked"] == 97 * 24
+    assert not want["equal"] and len(want["failures"]) == 10
+    monkeypatch.setattr(partitions, "box_count_table", real)
+    assert appendixA_report(12) == reference_appendixA_report(12)
 
 
 @given(st.integers(0, 20).flatmap(lambda n: st.sampled_from(enumerate_partitions(n))),

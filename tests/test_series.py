@@ -573,6 +573,25 @@ def test_json_chunks_reject_other_types():
             "".join(json_chunks(obj))
 
 
+def test_json_chunks_dict_shapes():
+    """Dicts are written from one template per key tuple and indentation:
+    keys holding %, sibling dicts with the same keys in other orders or
+    at other depths, and a non-str key after a dict with the same first
+    key."""
+    for obj in ({"%s": 1, "a%%b": "%d", "%": {"%(x)s": [None, "%"]}},
+                [{"a": 1, "b": 2}, {"b": 2, "a": 1}, {"a": {"b": 1, "a": 2}},
+                 {"b": [{"a": 1, "b": "%s"}]}, {"a": 1}, {"a": 1, "b": 2}],
+                {"s": Series.one(space2(2)), "t": [{"b": 1, "a": 2}],
+                 "u": {"a": 1, "b": 2}}):
+        want = json.dumps(obj, indent=2, default=to_json_dict)
+        assert "".join(json_chunks(obj)) == want
+    items = [{"a": 1, "b": "%s"}, {"b": 1, "a": {"a": 1, "b": 2}}]
+    assert "".join(json_chunks({"xs": iter(items), "a": items[0]})) \
+        == json.dumps({"xs": items, "a": items[0]}, indent=2)
+    with pytest.raises(TypeError, match="^cannot write a int key as JSON$"):
+        "".join(json_chunks([{"a": 1}, {"a": 1, 2: 3}]))
+
+
 class CountedList(list):
     def __iter__(self):
         self.iterations += 1
