@@ -407,11 +407,12 @@ def _write(path, chunks):
     when it is None, and flush.  Return 141 when the reader of stdout has
     closed it, else 0; output that cannot be written raises ValueError."""
     try:
-        out = open(path, "w") if path else contextlib.nullcontext(sys.stdout)
+        out = (open(path, "w") if path is not None
+               else contextlib.nullcontext(sys.stdout))
     except OSError as e:
         raise ValueError("cannot write --out %s: %s"
                          % (path, e.strerror)) from None
-    if sys.stdout is None and not path:
+    if sys.stdout is None and path is None:
         # the process started with descriptor 1 closed
         raise ValueError("cannot write output: %s" % os.strerror(errno.EBADF))
     try:
@@ -421,7 +422,7 @@ def _write(path, chunks):
             # a closed pipe shows here, not at exit
             fh.flush()
     except OSError as e:
-        if not path:
+        if path is None:
             # what stdout still buffers goes to devnull, so that the flush
             # at exit fails no more
             null = os.open(os.devnull, os.O_WRONLY)

@@ -302,53 +302,40 @@ def fixed_point_data(r, fps):
     distinct (mu, beta) is computed once and each distinct (mu_alpha,
     mu_beta) walked once, for every shift; a pair's counts are read off its
     walked boxes, so the formula and the weight count stay independent.
-    Partial sums are kept per component depth, and a fixed point adds only
-    the components after its common prefix with the one before, with their
-    pairs: both enumerations vary the last component fastest.
     """
     r = check_ranks(r)
     ell = len(r)
     secs = sectors(r)
-    big_r = len(secs)
-    # the pairs that component d adds, with their `_walk_counts` index
-    new_pairs = [[(alpha, beta, 2 * (-shift % ell) + first)
-                  for alpha, beta, shift, first in pair_classes(r)
-                  if max(alpha, beta) == d] for d in range(big_r)]
+    # each sector pair with its `_walk_counts` index
+    classes = [(alpha, beta, 2 * (-shift % ell) + first)
+               for alpha, beta, shift, first in pair_classes(r)]
     components = {}
     walks = {}
-    # stack[d]: (occupation, w, total, inv, oracle) of the components < d
-    stack = [((0,) * ell, 0, 0, 0, 0)]
-    prev = ()
     out = []
     for fp in fps:
-        _check_length(fp, big_r)
+        _check_length(fp, len(secs))
         mus = fp.mus
-        p = 0
-        while p < len(prev) and mus[p] == prev[p]:
-            p += 1
-        del stack[p + 1:]
-        for d in range(p, big_r):
-            n, w, total, inv, oracle = stack[d]
-            mu = mus[d]
+        n = (0,) * ell
+        w = total = inv = oracle = 0
+        for d, mu in enumerate(mus):
             comp = components.get((mu, d))
             if comp is None:
                 a, offset = secs[d]
                 cc = colored_counts(mu, a, ell)
                 comp = components[mu, d] = (cc, _morse_term(
                     cc, mu[0] if mu else 0, offset, r))
-            for alpha, beta, slot in new_pairs[d]:
-                key = (mus[alpha], mus[beta])
-                counts = walks.get(key)
-                if counts is None:
-                    counts = walks[key] = _walk_counts(_pair_walk(*key), ell)
-                t, i, o = counts[slot]
-                total += t
-                inv += i
-                oracle += o
-            stack.append((tuple(map(add, n, comp[0])), w + comp[1],
-                          total, inv, oracle))
-        out.append(stack[big_r])
-        prev = mus
+            n = tuple(map(add, n, comp[0]))
+            w += comp[1]
+        for alpha, beta, slot in classes:
+            key = (mus[alpha], mus[beta])
+            counts = walks.get(key)
+            if counts is None:
+                counts = walks[key] = _walk_counts(_pair_walk(*key), ell)
+            t, i, o = counts[slot]
+            total += t
+            inv += i
+            oracle += o
+        out.append((n, w, total, inv, oracle))
     return out
 
 

@@ -532,55 +532,48 @@ _SCALARS = {
 }
 
 
-def _text(o, nl, streams, shapes):
+def _text(o, nl, streams):
     """The text of a subtree starting at indentation nl, in one pass.  Each
     Series or iterator in it is written as a NUL, which JSON text written
     here never holds otherwise (strings escape it), and the generator of
-    its own chunks is appended to `streams`, in the order of the NULs.  A
-    dict is written from the %-template of its keys and indentation, kept
-    in `shapes`: one %s for each value's text."""
+    its own chunks is appended to `streams`, in the order of the NULs."""
     write = _SCALARS.get(type(o))
     if write is not None:
         return write(o)
     if isinstance(o, dict):
         if not o:
             return "{}"
-        shape = (*o, nl)
-        form = shapes.get(shape)
-        if form is None:
-            inner = nl + "  "
-            form = shapes[shape] = "{%s%s%s}" % (inner, ("," + inner).join([
-                _key(k).replace("%", "%%") + "%s" for k in o]), nl)
+        inner = nl + "  "
         get = _SCALARS.get
-        return form % tuple([
-            w(v) if (w := get(type(v)))
-            else _text(v, nl + "  ", streams, shapes) for v in o.values()])
+        return "{%s%s%s}" % (inner, ("," + inner).join([
+            _key(k) + (w(v) if (w := get(type(v))) else _text(v, inner, streams))
+            for k, v in o.items()]), nl)
     if isinstance(o, (list, tuple)):
         if not o:
             return "[]"
         inner = nl + "  "
         get = _SCALARS.get
         return "[%s%s%s]" % (inner, ("," + inner).join([
-            w(v) if (w := get(type(v))) else _text(v, inner, streams, shapes)
+            w(v) if (w := get(type(v))) else _text(v, inner, streams)
             for v in o]), nl)
     if isinstance(o, str):
         return encode_basestring_ascii(o)
     if isinstance(o, int):
         return int.__repr__(o)
     if isinstance(o, Series):
-        streams.append(_series_chunks(o, nl, shapes))
+        streams.append(_series_chunks(o, nl))
         return "\0"
     if isinstance(o, Iterator):
-        streams.append(_iter_chunks(o, nl, shapes))
+        streams.append(_iter_chunks(o, nl))
         return "\0"
     raise TypeError("cannot write %s as JSON" % type(o).__name__)
 
 
-def _chunks(o, nl, shapes):
+def _chunks(o, nl):
     """A subtree's text, cut at each Series and iterator, which are
     written in its place one chunk at a time."""
     streams = []
-    parts = _text(o, nl, streams, shapes).split("\0")
+    parts = _text(o, nl, streams).split("\0")
     for part, stream in zip(parts, streams):
         if part:
             yield part
@@ -589,14 +582,14 @@ def _chunks(o, nl, shapes):
         yield parts[-1]
 
 
-def _iter_chunks(it, nl, shapes):
+def _iter_chunks(it, nl):
     """An iterator's elements, drawn one at a time so only one is alive;
     the bytes are those of a list of the same elements."""
     inner = nl + "  "
     sep = "["
     for v in it:
         yield sep + inner
-        yield from _chunks(v, inner, shapes)
+        yield from _chunks(v, inner)
         sep = ","
     yield "[]" if sep == "[" else nl + "]"
 
@@ -605,19 +598,18 @@ def _iter_chunks(it, nl, shapes):
 _BATCH = 128
 
 
-def _series_chunks(s, nl, shapes):
+def _series_chunks(s, nl):
     """A series' text: the header, then one chunk per _BATCH terms, each
     built column by column, then the closing brackets."""
     sp = s.space
     i1 = nl + "  "
     i2, i3 = i1 + "  ", i1 + "    "
     head = '{%s"variables": %s,%s"grading": %s,%s"truncation": %d' % (
-        i1, _text(sp.names, i1, None, shapes), i1,
-        _text(sp.grading, i1, None, shapes), i1,
+        i1, _text(sp.names, i1, None), i1, _text(sp.grading, i1, None), i1,
         sp.truncation)
     if sp.caps:
         caps = {n: sp.caps[n] for n in sp.names if n in sp.caps}
-        head += ',%s"caps": %s' % (i1, _text(caps, i1, None, shapes))
+        head += ',%s"caps": %s' % (i1, _text(caps, i1, None))
     terms = s.terms
     if not terms:
         yield head + ',%s"terms": []%s}' % (i1, nl)
@@ -659,8 +651,8 @@ def json_chunks(obj):
     written in one pass.  Values may be dicts with str keys, lists, tuples,
     Series, str, int, bool and None; any other type raises TypeError.  An
     iterator is written as a list of what it yields, drawing one element at
-    a time.  Each dict shape is rendered from one template per call."""
-    return _chunks(obj, "\n", {})
+    a time."""
+    return _chunks(obj, "\n")
 
 
 def render_text(s):

@@ -1,6 +1,9 @@
 """One test per row of the acceptance table, the same rows `laumon
 acceptance` prints; `pytest -s tests/test_acceptance.py` shows each line."""
 
+import itertools
+from collections import Counter
+
 import pytest
 
 from laumon import acceptance, characters
@@ -24,3 +27,52 @@ def test_blocks_hold_the_one_block_case():
     """Criterion 4's verify_WZ on BLOCKS[0] is the L = 1 reduction: one
     block has no B-character factors, so its W-character alone is Z."""
     assert characters.BlockData(*acceptance.BLOCKS[0]).L == 1
+
+
+def factor_dimensions(factors):
+    """{dimension: multiplicity} of the generators read off an X_i or X_ij
+    factor list: a diagonal factor (y^zy z) is one generator of dimension
+    -zy - 1, and an adjacent pair (y^zy z u_a u_c^-1, y^uy u_c u_a^-1) two
+    of dimension -(zy + uy)/2 - 1."""
+    dims = Counter()
+    it = iter(factors)
+    for f in it:
+        if not any(f.u):
+            assert f.z == 1
+            dims[-f.y - 1] += 1
+            continue
+        g = next(it)
+        assert (f.z, g.z) == (1, 0)
+        assert g.u == tuple(-e for e in f.u)
+        assert (f.y + g.y) % 2 == 0
+        dims[-(f.y + g.y) // 2 - 1] += 2
+    return dims
+
+
+def test_spin_dimensions_are_the_factor_generators(shared):
+    """Row 10a's identity, tied to the factor lists: per block pair, the
+    spin decomposition's dimensions with their multiplicities are the
+    generators read off x_i_factors and x_ij_factors."""
+    for b in shared["shapes"]:
+        want = {}
+        for pair, d, mult in characters.spin_decomposition(b):
+            want.setdefault(pair, Counter())[d] += mult
+        got = {(i, i): factor_dimensions(characters.x_i_factors(b, i))
+               for i in range(1, b.L + 1)}
+        got.update(((i, j), factor_dimensions(characters.x_ij_factors(b, i, j)))
+                   for i, j in itertools.combinations(range(1, b.L + 1), 2))
+        assert got == want, b
+
+
+def test_fermion_difference_is_twice_the_b_factors(shared):
+    """Row 10b's identity, tied to the factor lists: for odd s_i and s_j,
+    direct minus iterated fermions is 2 len(b_character_factors)."""
+    pairs = 0
+    for b in shared["shapes"]:
+        for p in characters.free_field_counts(b)["pairs"]:
+            i, j = p["i"], p["j"]
+            if b.s[i - 1] % 2 == 1 and b.s[j - 1] % 2 == 1:
+                pairs += 1
+                assert (p["direct"]["fermions"] - p["iterated"]["fermions"]
+                        == 2 * len(characters.b_character_factors(b, i, j))), b
+    assert pairs == 29

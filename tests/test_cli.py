@@ -715,7 +715,7 @@ def test_json_output_is_dumps_bytes(command, ranks, order):
 def test_unwritable_out_is_a_usage_error(capsys):
     """An --out path that cannot be opened exits 2 with one error line."""
     with tempfile.TemporaryDirectory() as tmp:
-        for path in (tmp, os.path.join(tmp, "missing", "out.json")):
+        for path in (tmp, os.path.join(tmp, "missing", "out.json"), ""):
             code, out, err = run_main(capsys, "spin", "--m", "1", "--s", "1",
                                       "--out", path)
             assert (code, out) == (2, "")

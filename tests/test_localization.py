@@ -296,9 +296,9 @@ def ranks_and_fixed_point_stream(draw):
     [(1,), (), ()], [(1,), (), (1,)], [(1,), (), (1,)], [(), (1,), ()],
     [(2, 1), (), (1,)], [(1,), (), ()], [(1,), (1,), (1,)])]))
 def test_fixed_point_data_holds_on_any_stream(case):
-    """The prefix sums are cut wherever a component changes: fixed points
-    in any order, repeated and of mixed totals, get exactly what the
-    per-fixed-point functions give."""
+    """Fixed points in any order, repeated and of mixed totals, get
+    exactly what the per-fixed-point functions give, whatever the call's
+    tables already hold."""
     r, stream = case
     got = fixed_point_data(r, iter(stream))
     assert len(got) == len(stream)

@@ -49,3 +49,17 @@ def test_console_script_is_the_module_entry():
     (call,) = [node for node in ast.walk(guard) if isinstance(node, ast.Call)]
     main = importlib.import_module("laumon.__main__")
     assert script is getattr(main, call.func.id)
+
+
+def test_readme_references_resolve():
+    """Every backticked `laumon.<module>` or `laumon.<module>.<name>` in
+    README.md, a call's arguments aside, names a module of the package and
+    an attribute of it, so the README cannot point at a renamed or deleted
+    definition."""
+    refs = set(re.findall(r"`laumon\.(\w+)(?:\.(\w+))?(?:\([^`]*\))?`",
+                          (ROOT / "README.md").read_text()))
+    assert len(refs) > 10
+    for module, name in sorted(refs):
+        found = importlib.import_module("laumon." + module)
+        if name:
+            getattr(found, name)

@@ -574,10 +574,9 @@ def test_json_chunks_reject_other_types():
 
 
 def test_json_chunks_dict_shapes():
-    """Dicts are written from one template per key tuple and indentation:
-    keys holding %, sibling dicts with the same keys in other orders or
-    at other depths, and a non-str key after a dict with the same first
-    key."""
+    """Dicts are written as json.dumps writes them: keys holding %, sibling
+    dicts with the same keys in other orders or at other depths, and a
+    non-str key after a dict with the same first key."""
     for obj in ({"%s": 1, "a%%b": "%d", "%": {"%(x)s": [None, "%"]}},
                 [{"a": 1, "b": 2}, {"b": 2, "a": 1}, {"a": {"b": 1, "a": 2}},
                  {"b": [{"a": 1, "b": "%s"}]}, {"a": 1}, {"a": 1, "b": 2}],
