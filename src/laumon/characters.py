@@ -14,7 +14,7 @@ y = 1 and r = 0 for a (z, v) space with the u's kept formal.
 """
 
 import itertools
-from collections import namedtuple
+from collections import Counter, namedtuple
 from operator import sub
 
 from .closed_form import (expand_product, qtilde_monomial, theorem_Z, u_pair,
@@ -306,17 +306,16 @@ def verify_verma_vs_X1(N, n_max, v_cap):
     """Two-sided check that the single-block character at y=1 and the
     affine Verma denominator coincide under u_c <-> v_c.
 
-    Check one expands the Verma factors in the canonical (y, q) space under
-    z -> q_0..q_{N-1} and v_c -> the y=1 resolution of u_c, and compares
-    with X_1 restricted at y=1.  Check two expands the X_1 factors in the
-    (z, v) space and compares with the denominator on its whole window."""
+    Check one compares the factor lists: X_1's factors with their y
+    exponents dropped and the Verma factors are one multiset of (z, u)
+    bases, so their products agree at every order.  Check two expands the
+    X_1 factors in the (z, v) space and compares with the denominator on
+    its whole window."""
     b = BlockData((N,), (1,))
-    mapped = expand_product((0,) * N, n_max, [
-        (0, u_qtilde(f.z, f.u)) for f in affine_verma_factors(N)])
-    x1 = expand_factors(b, x_i_factors(b, 1), n_max)
-    rep1 = series_diff_report(mapped, x1.restrict("y"))
+    same = (Counter(f[1:] for f in x_i_factors(b, 1))
+            == Counter(f[1:] for f in affine_verma_factors(N)))
     rep2 = series_diff_report(affine_verma_denominator(N, n_max, v_cap),
                               x_i_unrefined_zu(b, 1, n_max, v_cap))
-    return {"equal": rep1["equal"] and rep2["equal"],
-            "checks": [dict(rep1, name="substituted_vs_X1"),
+    return {"equal": same and rep2["equal"],
+            "checks": [{"equal": same, "name": "factors_vs_X1"},
                        dict(rep2, name="direct_zu_vs_denominator")]}

@@ -8,10 +8,11 @@ a rank vector r and an occupation vector n are tuples of colored Young
 diagrams, one per sector 1..sum(r), whose combined color counts equal n;
 `sectors(r)` lays out each sector's residue and offset, once.
 Per-fixed-point data (Morse indices, tangent characters) enumerates the
-tuples; the generating function factors over the components instead: it
-multiplies R reweighted copies of the colored partition sum of Lemma 3.2,
-one per sector.  It uses only partitions and the per-component Morse
-formula, never the closed product forms.
+tuples, and both index passes read one per-call component table; the
+generating function factors over the components instead: it multiplies R
+reweighted copies of the colored partition sum of Lemma 3.2, one per
+sector.  It uses only partitions and the per-component Morse formula,
+never the closed product forms.
 
 Rank vectors are validated once, by `check_ranks` at the entry points
 (`brute_force_Z` and the fixed-point enumerations); the per-component
@@ -20,7 +21,7 @@ helpers take an already-checked tuple.
 
 import itertools
 from collections import Counter
-from operator import add, mul, sub
+from operator import mul, sub
 
 from .partitions import (col_heights, colored_counts, enumerate_partitions,
                          partition_sum_lhs)
@@ -270,27 +271,29 @@ def morse_index_oracle(fp, r):
     return morse_index_from_tangent(tangent_character(fp, r))
 
 
-def morse_indices(r, fps):
-    """fixed_point_morse_index of each fixed point of the iterable `fps`.
-
-    The index is a sum of one term per component, which fixed points
-    share, so within one call each distinct (mu, beta) is computed once.
-    """
+def _components(r, fps):
+    """(fp, comps) for each fixed point of the iterable `fps`: comps holds
+    the (colored_counts, _morse_term) of each component, computed once per
+    call for each distinct (mu, d), in the table both index passes read."""
     secs = sectors(r)
-    terms = {}
-    out = []
+    table = {}
     for fp in fps:
         _check_length(fp, len(secs))
-        w = 0
-        for beta, mu in enumerate(fp.mus):
-            key = (mu, beta)
-            if key not in terms:
-                a, offset = secs[beta]
-                terms[key] = _morse_term(colored_counts(mu, a, len(r)),
-                                         mu[0] if mu else 0, offset, r)
-            w += terms[key]
-        out.append(w)
-    return out
+        comps = []
+        for d, mu in enumerate(fp.mus):
+            comp = table.get((mu, d))
+            if comp is None:
+                a, offset = secs[d]
+                cc = colored_counts(mu, a, len(r))
+                comp = table[mu, d] = (cc, _morse_term(
+                    cc, mu[0] if mu else 0, offset, r))
+            comps.append(comp)
+        yield fp, comps
+
+
+def morse_indices(r, fps):
+    """fixed_point_morse_index of each fixed point of the iterable `fps`."""
+    return [sum(w for _, w in comps) for _, comps in _components(r, fps)]
 
 
 def fixed_point_data(r, fps):
@@ -298,34 +301,22 @@ def fixed_point_data(r, fps):
     FixedPoint.occupation, fixed_point_morse_index, tangent_count of
     tangent_character and of its invariant_part, and morse_index_oracle.
 
-    Each is a sum over components or sector pairs.  Within one call each
-    distinct (mu, beta) is computed once and each distinct (mu_alpha,
-    mu_beta) walked once, for every shift; a pair's counts are read off its
+    Each is a sum over components or sector pairs.  The components come
+    from `_components`; within one call each distinct (mu_alpha, mu_beta)
+    is walked once, for every shift, and a pair's counts are read off its
     walked boxes, so the formula and the weight count stay independent.
     """
     r = check_ranks(r)
     ell = len(r)
-    secs = sectors(r)
     # each sector pair with its `_walk_counts` index
     classes = [(alpha, beta, 2 * (-shift % ell) + first)
                for alpha, beta, shift, first in pair_classes(r)]
-    components = {}
     walks = {}
     out = []
-    for fp in fps:
-        _check_length(fp, len(secs))
+    for fp, comps in _components(r, fps):
         mus = fp.mus
-        n = (0,) * ell
-        w = total = inv = oracle = 0
-        for d, mu in enumerate(mus):
-            comp = components.get((mu, d))
-            if comp is None:
-                a, offset = secs[d]
-                cc = colored_counts(mu, a, ell)
-                comp = components[mu, d] = (cc, _morse_term(
-                    cc, mu[0] if mu else 0, offset, r))
-            n = tuple(map(add, n, comp[0]))
-            w += comp[1]
+        ccs, ws = zip(*comps)
+        total = inv = oracle = 0
         for alpha, beta, slot in classes:
             key = (mus[alpha], mus[beta])
             counts = walks.get(key)
@@ -335,7 +326,7 @@ def fixed_point_data(r, fps):
             total += t
             inv += i
             oracle += o
-        out.append((n, w, total, inv, oracle))
+        out.append((tuple(map(sum, zip(*ccs))), sum(ws), total, inv, oracle))
     return out
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from laumon import acceptance
 from laumon import characters as ch
 from laumon.closed_form import _u_pair_factors, theorem_Z, u_qtilde
 from laumon.series import Series, render_text
@@ -225,9 +226,38 @@ def test_verify_verma_vs_X1():
                  (2, 4, 2), (2, 6, 4), (3, 6, 2)):
         rep = ch.verify_verma_vs_X1(*args)
         assert rep["equal"], (args, rep)
-        assert [c["name"] for c in rep["checks"]] == [
-            "substituted_vs_X1", "direct_zu_vs_denominator"]
-        assert all(c["coefficients"] > 0 for c in rep["checks"])
+        factors, direct = rep["checks"]
+        assert factors == {"equal": True, "name": "factors_vs_X1"}
+        assert direct["name"] == "direct_zu_vs_denominator"
+        assert direct["coefficients"] > 0
+
+
+@pytest.mark.parametrize("N", range(1, 9))
+def test_x1_factors_at_y_one_are_the_verma_factors(N):
+    """Check one of verify_verma_vs_X1 past the sizes an expansion affords:
+    X_1's (z, u) bases of the block (N,), (1,) are the Verma factors."""
+    b = ch.BlockData((N,), (1,))
+    assert (Counter(f[1:] for f in ch.x_i_factors(b, 1))
+            == Counter(f[1:] for f in ch.affine_verma_factors(N)))
+
+
+def test_a_shifted_verma_factor_fails_check_one_and_row_10c(monkeypatch):
+    """u_N resolves to qtilde exponent 0, so moving the last Verma factor's
+    u_N exponent by 1 leaves every (y, q) expansion as it was; the factor
+    comparison, and with it acceptance row 10c, still sees it."""
+    real = ch.affine_verma_factors
+
+    def shifted(N):
+        out = real(N)
+        f = out[-1]
+        return out[:-1] + [f._replace(u=f.u[:-1] + (f.u[-1] + 1,))]
+    monkeypatch.setattr(ch, "affine_verma_factors", shifted)
+    rep = ch.verify_verma_vs_X1(3, 4, 4)
+    assert rep["checks"][0] == {"equal": False, "name": "factors_vs_X1"}
+    assert not rep["equal"]
+    row = dict(acceptance.CRITERIA)[
+        "10c Verma denominator vs single-block character"]
+    assert not row(None)[0]
 
 
 def test_x_i_unrefined_zu_of_a_first_block_is_the_verma_denominator():
@@ -301,7 +331,10 @@ def test_affine_verma_denominator_crop_stable(N, n_max, v_cap):
 def test_verify_verma_vs_X1_at_four_variables():
     rep = ch.verify_verma_vs_X1(4, 4, 4)
     assert rep["equal"], rep
-    assert all(c["coefficients"] > 0 for c in rep["checks"])
+    assert [c["name"] for c in rep["checks"]] == [
+        "factors_vs_X1", "direct_zu_vs_denominator"]
+    assert "coefficients" not in rep["checks"][0]
+    assert rep["checks"][1]["coefficients"] > 0
 
 
 def test_affine_verma_denominator_crop_stable_at_four_variables():

@@ -298,10 +298,14 @@ def ranks_and_fixed_point_stream(draw):
 def test_fixed_point_data_holds_on_any_stream(case):
     """Fixed points in any order, repeated and of mixed totals, get
     exactly what the per-fixed-point functions give, whatever the call's
-    tables already hold."""
+    tables already hold; morse_indices, reading the same component table,
+    gives the index column."""
     r, stream = case
     got = fixed_point_data(r, iter(stream))
     assert len(got) == len(stream)
+    indices = morse_indices(r, iter(stream))
+    assert indices == [fixed_point_morse_index(fp, r) for fp in stream]
+    assert indices == [d[1] for d in got]
     for fp, d in zip(stream, got):
         tc = tangent_character(fp, r)
         assert d == (fp.occupation(r), fixed_point_morse_index(fp, r),
