@@ -302,7 +302,7 @@ def x_i_unrefined_zu(b, i, n_max, v_cap):
     return _expand_zv(b.ell, n_max, v_cap, x_i_factors(b, i))
 
 
-def verify_verma_vs_X1(N, n_max, v_cap):
+def verify_verma_vs_X1(N, n_max, v_cap, denominator=None):
     """Two-sided check that the single-block character at y=1 and the
     affine Verma denominator coincide under u_c <-> v_c.
 
@@ -310,12 +310,14 @@ def verify_verma_vs_X1(N, n_max, v_cap):
     exponents dropped and the Verma factors are one multiset of (z, u)
     bases, so their products agree at every order.  Check two expands the
     X_1 factors in the (z, v) space and compares with the denominator on
-    its whole window."""
+    its whole window: `denominator`, when the caller has it already, else
+    affine_verma_denominator(N, n_max, v_cap)."""
     b = BlockData((N,), (1,))
     same = (Counter(f[1:] for f in x_i_factors(b, 1))
             == Counter(f[1:] for f in affine_verma_factors(N)))
-    rep2 = series_diff_report(affine_verma_denominator(N, n_max, v_cap),
-                              x_i_unrefined_zu(b, 1, n_max, v_cap))
+    if denominator is None:
+        denominator = affine_verma_denominator(N, n_max, v_cap)
+    rep2 = series_diff_report(denominator, x_i_unrefined_zu(b, 1, n_max, v_cap))
     return {"equal": same and rep2["equal"],
             "checks": [{"equal": same, "name": "factors_vs_X1"},
                        dict(rep2, name="direct_zu_vs_denominator")]}

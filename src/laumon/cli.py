@@ -212,11 +212,23 @@ def _call(module, func, title=None):
     return handler
 
 
+def _diagram_rows(cfg):
+    """The function giving a fixed point's diagrams as JSON rows: plain
+    lists for text output, which `_dumps` writes, and for JSON output one
+    `series.Shared` per distinct diagram, so each is written once."""
+    if cfg.format != "json":
+        return lambda mus: [list(mu) for mu in mus]
+    known = {}
+    return lambda mus: [known.get(mu) or known.setdefault(
+        mu, series.Shared(list(mu))) for mu in mus]
+
+
 def _h_fixed_points(cfg):
     from . import localization
     r = _checked_ranks(cfg)
     fps = localization.enumerate_fixed_points(r, cfg.n)
-    entries = [{"mus": [list(mu) for mu in fp.mus], "morse": w}
+    rows = _diagram_rows(cfg)
+    entries = [{"mus": rows(fp.mus), "morse": w}
                for fp, w in zip(fps, localization.morse_indices(r, fps))]
     payload = {"r": list(r), "n": list(cfg.n), "fixed_points": entries}
 
@@ -232,8 +244,9 @@ def _h_morse(cfg):
     from . import localization
     r = _checked_ranks(cfg)
     fps = localization.enumerate_fixed_points(r, cfg.n)
-    entries = [{"mus": [list(mu) for mu in fp.mus], "formula": wf,
-                "oracle": wo} for fp, (_, wf, _, _, wo)
+    rows = _diagram_rows(cfg)
+    entries = [{"mus": rows(fp.mus), "formula": wf, "oracle": wo}
+               for fp, (_, wf, _, _, wo)
                in zip(fps, localization.fixed_point_data(r, fps))]
     agree = all(e["formula"] == e["oracle"] for e in entries)
     poincare = dict(sorted(Counter(2 * e["formula"] for e in entries).items()))
@@ -257,29 +270,38 @@ def _h_tangent(cfg):
     from . import localization
     r = _checked_ranks(cfg)
     fps = localization.enumerate_fixed_points(r, cfg.n)
+    rows = _diagram_rows(cfg)
 
-    def counts():
+    def entries():
+        # tangent_characters shares one terms dict among the sector pairs
+        # with the same diagrams and shift: each distinct dict is counted,
+        # and for JSON its sorted rows made, once.  The table holds every
+        # dict it keys, so no id is reused while it lives.
+        table = {}
         for fp, tc in zip(fps, localization.tangent_characters(r, fps)):
-            yield (tc, [list(mu) for mu in fp.mus],
-                   localization.tangent_count(tc),
-                   localization.tangent_count(localization.invariant_part(tc)))
-
-    def entry(item):
-        tc, mus, total, inv = item
-        pairs = [{"alpha": alpha, "beta": beta,
-                  "terms": [{"t1": t1, "t2": t2, "omega": om, "coeff": c}
-                            for (t1, t2, om), c in sorted(terms.items())]}
-                 for (alpha, beta), terms in tc.items()]
-        return {"mus": mus, "pairs": pairs, "total_terms": total,
-                "invariant_terms": inv}
+            pairs, total, inv = [], 0, 0
+            for (alpha, beta), terms in tc.items():
+                t = table.get(id(terms))
+                if t is None:
+                    t = table[id(terms)] = (
+                        terms, sum(terms.values()),
+                        sum(c for k, c in terms.items() if not k[2]),
+                        cfg.format == "json" and series.Shared([
+                            {"t1": t1, "t2": t2, "omega": om, "coeff": c}
+                            for (t1, t2, om), c in sorted(terms.items())]))
+                pairs.append({"alpha": alpha, "beta": beta, "terms": t[3]})
+                total += t[1]
+                inv += t[2]
+            yield {"mus": rows(fp.mus), "pairs": pairs, "total_terms": total,
+                   "invariant_terms": inv}
 
     # an iterator: each fixed point is written as soon as it is computed
-    payload = {"r": list(r), "n": list(cfg.n),
-               "fixed_points": map(entry, counts())}
+    payload = {"r": list(r), "n": list(cfg.n), "fixed_points": entries()}
 
     def text():
-        lines = ["mus=%s total=%d invariant=%d" % (_dumps(mus), total, inv)
-                 for _, mus, total, inv in counts()]
+        lines = ["mus=%s total=%d invariant=%d" % (
+            _dumps(e["mus"]), e["total_terms"], e["invariant_terms"])
+            for e in entries()]
         return "\n".join(lines) if lines else "no fixed points"
     return 0, payload, text
 

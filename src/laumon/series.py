@@ -18,6 +18,11 @@ adds, so no slot carries.  It also takes upper bounds on the exponents of
 variables that no family lowers, and then drops each term as soon as it
 leaves that box, which is exact because those exponents only grow; a
 bounded digit carries a guard bit, so the test is one AND per packed key.
+
+`json_chunks` streams the text of json.dumps(obj, indent=2).  A subtree
+wrapped in `Shared` is written once per indentation, and that text is
+reused wherever the same object recurs; it may not hold a Series or an
+iterator.
 """
 
 # the C encoder json.encoder re-exports, taken without loading json
@@ -532,6 +537,19 @@ _SCALARS = {
 }
 
 
+class Shared:
+    """A subtree that recurs in one output: `json_chunks` writes its value
+    once per indentation and reuses that text wherever the same Shared
+    occurs again.  The value may not hold a Series or an iterator, whose
+    streams cannot be replayed; writing one raises TypeError."""
+
+    __slots__ = ("value", "_texts")
+
+    def __init__(self, value):
+        self.value = value
+        self._texts = {}    # indentation -> text
+
+
 def _text(o, nl, streams):
     """The text of a subtree starting at indentation nl, in one pass.  Each
     Series or iterator in it is written as a NUL, which JSON text written
@@ -560,6 +578,15 @@ def _text(o, nl, streams):
         return encode_basestring_ascii(o)
     if isinstance(o, int):
         return int.__repr__(o)
+    if isinstance(o, Shared):
+        text = o._texts.get(nl)
+        if text is None:
+            streamed = []
+            text = _text(o.value, nl, streamed)
+            if streamed:
+                raise TypeError("cannot share a Series or an iterator")
+            o._texts[nl] = text
+        return text
     if isinstance(o, Series):
         streams.append(_series_chunks(o, nl))
         return "\0"
@@ -649,9 +676,10 @@ def json_chunks(obj):
     pieces: each batch of up to _BATCH terms of a Series, each element of
     an iterator, and each stretch of text between them, every subtree
     written in one pass.  Values may be dicts with str keys, lists, tuples,
-    Series, str, int, bool and None; any other type raises TypeError.  An
-    iterator is written as a list of what it yields, drawing one element at
-    a time."""
+    Series, Shared, str, int, bool and None; any other type raises
+    TypeError.  An iterator is written as a list of what it yields, drawing
+    one element at a time.  A Shared is written as its value, whose text is
+    made once per indentation."""
     return _chunks(obj, "\n")
 
 

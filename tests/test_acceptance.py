@@ -2,11 +2,12 @@
 acceptance` prints; `pytest -s tests/test_acceptance.py` shows each line."""
 
 import itertools
+import json
 from collections import Counter
 
 import pytest
 
-from laumon import acceptance, characters
+from laumon import acceptance, characters, series
 
 
 @pytest.fixture(scope="module")
@@ -27,6 +28,42 @@ def test_blocks_hold_the_one_block_case():
     """Criterion 4's verify_WZ on BLOCKS[0] is the L = 1 reduction: one
     block has no B-character factors, so its W-character alone is Z."""
     assert characters.BlockData(*acceptance.BLOCKS[0]).L == 1
+
+
+def test_golden_rows_compare_bytes(shared, monkeypatch):
+    """A golden row passes on the fixture's exact text: a re-indented
+    fixture that parses to the same series differs, and a missing one is
+    missing, whether the file is absent or the reader finds nothing."""
+    real = acceptance._fixture
+    monkeypatch.setattr(acceptance, "_fixture", lambda name: json.dumps(
+        json.loads(real(name)), indent=1) + "\n")
+    for name, entry, key in acceptance.GOLDEN:
+        assert series.from_json_dict(acceptance.load_golden(name)) \
+            == shared[entry][key]
+        assert acceptance._golden(name, entry, key)(shared) \
+            == (False, "fixture differs")
+    monkeypatch.setattr(acceptance, "_fixture", real)
+    assert acceptance._golden("zr_9_9.json", "Z", (1, 1))(shared) \
+        == (False, "fixture missing")
+    monkeypatch.setattr(acceptance, "_fixture", lambda name: None)
+    name, entry, key = acceptance.GOLDEN[0]
+    assert acceptance._golden(name, entry, key)(shared) \
+        == (False, "fixture missing")
+
+
+def test_acceptance_expands_each_verma_denominator_once(monkeypatch):
+    """Row 10c reuses the golden denominators of shared(), so a run expands
+    one per distinct argument, each through the module attribute."""
+    calls = []
+    real = characters.affine_verma_denominator
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(characters, "affine_verma_denominator", counted)
+    assert all(r["passed"] for r in acceptance.run())
+    assert sorted(calls) == sorted(acceptance.VERMA)
+    assert len(calls) == 4
 
 
 def factor_dimensions(factors):

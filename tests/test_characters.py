@@ -257,7 +257,7 @@ def test_a_shifted_verma_factor_fails_check_one_and_row_10c(monkeypatch):
     assert not rep["equal"]
     row = dict(acceptance.CRITERIA)[
         "10c Verma denominator vs single-block character"]
-    assert not row(None)[0]
+    assert not row(acceptance.shared())[0]
 
 
 def test_x_i_unrefined_zu_of_a_first_block_is_the_verma_denominator():

@@ -193,6 +193,16 @@ def test_startup_imports_only_what_the_command_runs(argv):
                          "laumon.acceptance"}
 
 
+def test_acceptance_loads_no_json():
+    """The golden rows compare the fixtures as text, so `acceptance` loads
+    no json in a fresh interpreter."""
+    proc = subprocess.run([sys.executable, "-c", STARTUP_CHILD, "acceptance"],
+                          capture_output=True, text=True, env=child_env())
+    loaded = set(proc.stderr.split())
+    assert proc.returncode == 0 and "laumon.acceptance" in loaded
+    assert "json" not in loaded
+
+
 def test_unknown_flag_is_usage_error(capsys):
     # verify-wz takes --m/--s, not --ranks
     code, out, err = run_main(capsys, "verify-wz", "--ranks", "1,1")
@@ -418,11 +428,23 @@ PINNED_OUTPUTS = {
         "characters --m 1,2 --s 1,2 --max-order 6",
         {"json": "3cf2299acf8f63edff6bcb368633069fcd0aa4fa4cbe5a758f441c0824c0b587",
          "text": "ebbdcfc9c8245c9556c0a2e521ebf227c4800e99d9a65d44904c2552281d3009"}),
-    # the bytes printed when each diagram was a validated object
+    # the bytes printed when each diagram was a validated object, and
+    # when each fixed point wrote its diagrams itself
     "fixed-points": (
         "fixed-points --ranks 2,2,1 --n 2,2,2",
         {"json": "c3668686c81011451208d3b930ba3ae984bad0645e5ccdd23e208bdb81960af2",
          "text": "d439fa0b1e7af5095aae61f7d59866bf4413b70963e6b838372e273bae6d058d"}),
+    # the bytes printed when each fixed point wrote every one of its
+    # diagrams and sector-pair rows itself, before repeated ones were
+    # shared: lines outside the benchmark's workloads
+    "tangent": (
+        "tangent --ranks 2,2,1 --n 2,2,2",
+        {"json": "1204bb8191a1c951c585ee6db60481ffb96260dbdf7496223d41eba3bb537fc1",
+         "text": "4fe969c6117c1e3b36c6c5852fbd4817879bb752859b0e6a96c1d931c5731d11"}),
+    "morse": (
+        "morse --ranks 2,1 --n 3,3",
+        {"json": "c31878fcf4ffb613f94535e5e7ead20f70eb87bda9c08a4715702eec201bd1f5",
+         "text": "f8aae4e40b203d5bee991928d2383511c3ca25dea91d9d03d7c94c8c9eee0a13"}),
     # the bytes printed when each product form resolved its own families:
     # u-pair factors with a zero rank, the (z, v) expansion past the golden
     # fixtures' N <= 3, and multi-u factors over three blocks

@@ -63,3 +63,28 @@ def test_readme_references_resolve():
         found = importlib.import_module("laumon." + module)
         if name:
             getattr(found, name)
+
+
+def test_no_module_imports_json_at_module_level():
+    """No src/laumon module imports json when it is loaded: a command that
+    writes JSON uses the series writer, which takes only the C encoder
+    from _json, and one that parses or writes text with json imports it
+    inside the function that does, so start-up and memory stay small."""
+    found = []
+    for path in sorted((ROOT / "src" / "laumon").glob("*.py")):
+        todo = list(ast.parse(path.read_text()).body)
+        while todo:
+            node = todo.pop()
+            # a function body runs when called, a class body at load
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                todo.extend(ast.iter_child_nodes(node))
+                continue
+            found += ["%s:%d" % (path.name, node.lineno) for name in names
+                      if name.split(".")[0] == "json"]
+    assert not found

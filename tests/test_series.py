@@ -9,8 +9,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from laumon.series import (_BATCH, Series, SeriesError, VariableSpace,
-                           canonical_space, expand, from_json_dict,
+from laumon.series import (_BATCH, Series, SeriesError, Shared,
+                           VariableSpace, canonical_space, expand, from_json_dict,
                            geometric_inverse, json_chunks, pochhammer_inverse,
                            render_text, series_diff_report, substitute,
                            to_json_dict)
@@ -637,3 +637,93 @@ def test_json_chunks_write_subclasses_as_dumps():
         assert "".join(json_chunks(obj)) == want
     assert ("".join(json_chunks({"xs": iter([point, Record(k=point)])}))
             == json.dumps({"xs": [point, Record(k=point)]}, indent=2))
+
+
+class Lazy(list):
+    """A list that the written tree holds as an iterator over it."""
+
+
+def _as_written(tree):
+    """The tree passed to json_chunks: each Lazy becomes an iterator; a
+    Shared, which holds neither, is passed as the same object."""
+    if isinstance(tree, Lazy):
+        return iter([_as_written(v) for v in tree])
+    if isinstance(tree, list):
+        return [_as_written(v) for v in tree]
+    if isinstance(tree, dict):
+        return {k: _as_written(v) for k, v in tree.items()}
+    return tree
+
+
+def _unwrapped(tree):
+    """The tree json.dumps writes: each Shared replaced by its value."""
+    if isinstance(tree, Shared):
+        return _unwrapped(tree.value)
+    if isinstance(tree, list):
+        return [_unwrapped(v) for v in tree]
+    if isinstance(tree, dict):
+        return {k: _unwrapped(v) for k, v in tree.items()}
+    return tree
+
+
+_scalars = st.none() | st.booleans() | st.integers(-2 ** 70, 2 ** 70) | _text
+
+
+def _containers(kids, lazy=False):
+    return (st.lists(kids, max_size=4) | st.dictionaries(_text, kids, max_size=3)
+            | (st.lists(kids, max_size=3).map(Lazy) if lazy else st.nothing()))
+
+
+@st.composite
+def shared_trees(draw):
+    """A tree whose leaves draw from a pool of Shared values, each one free
+    to recur at any depth and inside iterator elements; a Shared may hold
+    those made before it."""
+    pool = []
+    for _ in range(draw(st.integers(1, 3))):
+        leaves = _scalars | st.sampled_from(pool) if pool else _scalars
+        pool.append(Shared(draw(st.recursive(leaves, _containers,
+                                             max_leaves=6))))
+    return draw(st.recursive(_scalars | st.sampled_from(pool),
+                             lambda kids: _containers(kids, lazy=True),
+                             max_leaves=20))
+
+
+_ROW = Shared([{"t1": 1, "t2": -2, "coeff": 3}, []])
+_NESTED = Shared({"row": _ROW, "s": "%s\x00"})
+
+
+@settings(max_examples=100)
+@given(shared_trees())
+@example([_ROW, {"a": _ROW, "b": [_ROW, [_ROW]]}, _ROW])
+@example({"xs": Lazy([_NESTED, [_ROW, _NESTED]]), "t": _NESTED, "r": [_ROW]})
+@example(Lazy([Shared([]), Shared({}), Shared(0), Lazy([_ROW])]))
+def test_json_chunks_write_shared_subtrees_as_dumps(tree):
+    """A Shared is written as json.dumps writes its value, wherever it
+    recurs: at several depths, inside iterator elements and inside
+    another Shared."""
+    want = json.dumps(_unwrapped(tree), indent=2)
+    assert "".join(json_chunks(_as_written(tree))) == want
+
+
+def test_json_chunks_write_a_shared_text_once_per_indentation():
+    """Two indentations, two passes over the value, for four occurrences."""
+    counted = CountedList([1, [2, "a"]])
+    counted.iterations = 0
+    want = json.dumps([counted, counted, {"a": counted, "b": counted}],
+                      indent=2)
+    counted.iterations = 0
+    row = Shared(counted)
+    assert "".join(json_chunks([row, row, {"a": row, "b": row}])) == want
+    assert counted.iterations == 2
+
+
+def test_shared_series_or_iterator_is_a_type_error():
+    s = Series.one(space2(2))
+    for value in (s, iter([1]), [1, {"s": s}], {"xs": iter([])},
+                  [Shared([s])]):
+        shared = Shared(value)
+        for obj in (shared, {"a": [shared]}, iter([shared])):
+            with pytest.raises(TypeError, match="^cannot share a Series or "
+                               "an iterator$"):
+                "".join(json_chunks(obj))
