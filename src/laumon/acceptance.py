@@ -150,16 +150,6 @@ def _fixture(name):
         return None
 
 
-def load_golden(name):
-    """The parsed JSON of one shipped fixture; None if missing or unreadable."""
-    import json    # the golden rows compare text and never parse it
-    text = _fixture(name)
-    try:
-        return None if text is None else json.loads(text)
-    except ValueError:
-        return None
-
-
 def _golden(name, entry, key):
     def check(v):
         # a fixture is the byte-level contract: the text `laumon` writes

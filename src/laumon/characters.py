@@ -162,8 +162,8 @@ def verify_WZ(m, s, n_max):
     (m, s) against the refined Verma character times the B-truncation
     characters.
 
-    Also cross-checks the left side against the localization sum;
-    `brute_coefficients` counts the coefficients that cross-check compared.
+    Also cross-checks the left side against the localization sum, in the
+    report's one check, named "localization cross-check".
     """
     b = BlockData(m, s)
     if b.ell < 2:
@@ -175,14 +175,10 @@ def verify_WZ(m, s, n_max):
         factors.extend(b_character_factors(b, i, j))
     rhs = expand_factors(b, factors, n_max)
     report = series_diff_report(lhs, rhs)
-    brep = series_diff_report(brute_force_Z(r, n_max), lhs)
-    report["brute_checked"] = True
-    report["brute_equal"] = brep["equal"]
-    report["brute_coefficients"] = brep["coefficients"]
-    if not brep["equal"]:
-        report["brute_first_diff"] = brep["first_diff"]
-        report["equal"] = False
-    return report
+    check = dict(series_diff_report(brute_force_Z(r, n_max), lhs),
+                 name="localization cross-check")
+    return dict(report, equal=report["equal"] and check["equal"],
+                checks=[check])
 
 
 def spin_decomposition(b):

@@ -146,7 +146,7 @@ def parse_args(argv=None):
 
 def _dumps(obj):
     import json    # only text output needs it
-    return json.dumps(obj)
+    return json.dumps(obj, default=lambda shared: shared.value)
 
 
 def _checked_ranks(cfg):
@@ -159,35 +159,34 @@ def _checked_ranks(cfg):
     return r
 
 
+def _report_lines(name, rep, indent):
+    """The verdict line of a report, then one level in: each check's own
+    lines, and what the report's own comparison covered, in one fixed
+    order.  Only the fields a report holds are written."""
+    lines = ["%s%s: %s" % (indent, name, "PASS" if rep["equal"] else "FAIL")]
+    indent += "  "
+    for check in rep.get("checks", ()):
+        lines += _report_lines(check["name"], check, indent)
+    return lines + ["%s%s: %s" % (indent, label, _dumps(value))
+                    for label, value in (
+                        ("coefficients compared", rep.get("coefficients")),
+                        ("cases checked", rep.get("checked")),
+                        ("first diff", rep.get("first_diff")),
+                        ("first failure", (rep.get("failures") or [None])[0]),
+                        ("factor families", rep.get("families")))
+                    if value is not None]
+
+
 def _verify_text(title, rep, inputs):
-    lines = ["%s: %s" % (title, "PASS" if rep["equal"] else "FAIL"),
-             "  inputs: " + ", ".join("%s=%s" % (k, _dumps(rep[k]))
-                                      for k in inputs)]
-    for c in rep.get("checks", ()):
-        tag = c.get("name")
-        if tag is None:
-            tag = "a=%s ell=%s" % (c.get("a"), c.get("ell"))
-        lines.append("  %s: %s" % (tag, "PASS" if c["equal"] else "FAIL"))
-        if "coefficients" in c:
-            lines.append("    coefficients compared: %d" % c["coefficients"])
-        if not c["equal"] and "first_diff" in c:
-            lines.append("    first diff: %s" % _dumps(c["first_diff"]))
-    if not rep["equal"] and "first_diff" in rep:
-        lines.append("  first diff: %s" % _dumps(rep["first_diff"]))
-    if rep.get("brute_checked"):
-        lines.append("  localization cross-check: %s"
-                     % ("PASS" if rep.get("brute_equal") else "FAIL"))
-        lines.append("    coefficients compared: %d" % rep["brute_coefficients"])
-        if "brute_first_diff" in rep:
-            lines.append("    first diff: %s" % _dumps(rep["brute_first_diff"]))
-    if "coefficients" in rep:
-        lines.append("  coefficients compared: %d" % rep["coefficients"])
-    if "checked" in rep:
-        lines.append("  cases checked: %d" % rep["checked"])
-    if rep.get("failures"):
-        lines.append("  first failure: %s" % _dumps(rep["failures"][0]))
-    if "families" in rep:
-        lines.append("  factor families: %s" % _dumps(rep["families"]))
+    """A verify report as text: the verdict and the inputs line, then each
+    check as `name: PASS/FAIL` with what it covered, then what the report's
+    own comparison covered.  Every report has one shape: `equal`, its own
+    comparison's fields (`coefficients` and `first_diff`, or `checked` and
+    `failures`), maybe `families`, and maybe `checks`, named reports of the
+    same shape; its `equal` includes every check's."""
+    lines = _report_lines(title, rep, "")
+    lines.insert(1, "  inputs: " + ", ".join("%s=%s" % (k, _dumps(rep[k]))
+                                             for k in inputs))
     return lines
 
 
@@ -212,12 +211,9 @@ def _call(module, func, title=None):
     return handler
 
 
-def _diagram_rows(cfg):
-    """The function giving a fixed point's diagrams as JSON rows: plain
-    lists for text output, which `_dumps` writes, and for JSON output one
+def _diagram_rows():
+    """The function giving a fixed point's diagrams as JSON rows, one
     `series.Shared` per distinct diagram, so each is written once."""
-    if cfg.format != "json":
-        return lambda mus: [list(mu) for mu in mus]
     known = {}
     return lambda mus: [known.get(mu) or known.setdefault(
         mu, series.Shared(list(mu))) for mu in mus]
@@ -227,7 +223,7 @@ def _h_fixed_points(cfg):
     from . import localization
     r = _checked_ranks(cfg)
     fps = localization.enumerate_fixed_points(r, cfg.n)
-    rows = _diagram_rows(cfg)
+    rows = _diagram_rows()
     entries = [{"mus": rows(fp.mus), "morse": w}
                for fp, w in zip(fps, localization.morse_indices(r, fps))]
     payload = {"r": list(r), "n": list(cfg.n), "fixed_points": entries}
@@ -244,7 +240,7 @@ def _h_morse(cfg):
     from . import localization
     r = _checked_ranks(cfg)
     fps = localization.enumerate_fixed_points(r, cfg.n)
-    rows = _diagram_rows(cfg)
+    rows = _diagram_rows()
     entries = [{"mus": rows(fp.mus), "formula": wf, "oracle": wo}
                for fp, (_, wf, _, _, wo)
                in zip(fps, localization.fixed_point_data(r, fps))]
@@ -270,7 +266,7 @@ def _h_tangent(cfg):
     from . import localization
     r = _checked_ranks(cfg)
     fps = localization.enumerate_fixed_points(r, cfg.n)
-    rows = _diagram_rows(cfg)
+    rows = _diagram_rows()
 
     def entries():
         # tangent_characters shares one terms dict among the sector pairs

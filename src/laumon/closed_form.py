@@ -143,11 +143,9 @@ def verify_partition_identity(a, ell, n_max):
 
 def lemma32_report(n_max):
     """verify_partition_identity for every residue a, ell in {2,3,4}."""
-    checks = []
-    for ell in (2, 3, 4):
-        for a in range(ell):
-            rep = verify_partition_identity(a, ell, n_max)
-            checks.append(dict(rep, a=a, ell=ell))
+    checks = [dict(verify_partition_identity(a, ell, n_max), a=a, ell=ell,
+                   name="a=%d ell=%d" % (a, ell))
+              for ell in (2, 3, 4) for a in range(ell)]
     return {"equal": all(c["equal"] for c in checks), "checks": checks}
 
 

@@ -38,7 +38,7 @@ def test_golden_rows_compare_bytes(shared, monkeypatch):
     monkeypatch.setattr(acceptance, "_fixture", lambda name: json.dumps(
         json.loads(real(name)), indent=1) + "\n")
     for name, entry, key in acceptance.GOLDEN:
-        assert series.from_json_dict(acceptance.load_golden(name)) \
+        assert series.from_json_dict(json.loads(acceptance._fixture(name))) \
             == shared[entry][key]
         assert acceptance._golden(name, entry, key)(shared) \
             == (False, "fixture differs")

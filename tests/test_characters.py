@@ -133,11 +133,11 @@ def test_w_refined_verma_factorwise():
 
 def test_verify_WZ():
     rep = ch.verify_WZ((1, 1), (1, 2), 4)
-    assert rep == {"equal": True, "coefficients": 47, "brute_checked": True,
-                   "brute_equal": True, "brute_coefficients": 47}
+    assert rep == {"equal": True, "coefficients": 47, "checks": [
+        {"equal": True, "coefficients": 47, "name": "localization cross-check"}]}
     rep = ch.verify_WZ((2, 1), (1, 2), 3)
-    assert rep == {"equal": True, "coefficients": 46, "brute_checked": True,
-                   "brute_equal": True, "brute_coefficients": 46}
+    assert rep == {"equal": True, "coefficients": 46, "checks": [
+        {"equal": True, "coefficients": 46, "name": "localization cross-check"}]}
 
 
 @st.composite

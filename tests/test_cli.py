@@ -6,6 +6,7 @@ import importlib.util
 import io
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import tempfile
@@ -14,8 +15,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from laumon import (acceptance, characters, cli, localization, partitions,
-                    series)
+import laumon
+from laumon import (acceptance, characters, cli, closed_form, localization,
+                    partitions, series)
 from laumon.closed_form import theorem_Z
 from laumon.series import from_json_dict, to_json_dict
 
@@ -287,6 +289,60 @@ def test_verify_wz_text_names_cross_check_failure(capsys, monkeypatch):
                    "  coefficients compared: 47\n")
 
 
+def test_verify_thm_text_names_first_diff(capsys, monkeypatch):
+    """A failing comparison prints what it covered, then where it failed."""
+    real = closed_form.brute_force_Z
+
+    def off_by_one(r, n_max):
+        z = real(r, n_max)
+        return z + series.Series.one(z.space)
+    monkeypatch.setattr(closed_form, "brute_force_Z", off_by_one)
+    code, out, err = run_main(capsys, "verify-thm", "--ranks", "1,1",
+                              "--format", "text")
+    assert code == 1
+    assert out == ("product form vs localization: FAIL\n"
+                   "  inputs: ranks=[1, 1], max_order=4\n"
+                   "  coefficients compared: 27\n"
+                   '  first diff: {"exp": {}, "lhs": "2", "rhs": "1"}\n')
+
+
+def report_checks(rep):
+    """The checks of a report and of its checks, depth first."""
+    return [d for c in rep.get("checks", ()) for d in [c] + report_checks(c)]
+
+
+@pytest.mark.parametrize("line", [
+    "verify-thm --ranks 2,1", "verify-prop34 --ranks 2,1",
+    "verify-wz --m 1,1 --s 1,2", "verify-appendixA",
+    "verify-appendixB --ranks 1,1,1", "verify-lemma32"])
+def test_every_comparison_is_reported(capsys, monkeypatch, line):
+    """Each series comparison a verify command makes is in its report: one
+    `coefficients` field per series_diff_report call, at the top or in a
+    check, and in text one `coefficients compared` line per call and one
+    `name: PASS` line per check."""
+    calls = []
+    for info in pkgutil.iter_modules(laumon.__path__):
+        module = importlib.import_module("laumon." + info.name)
+        real = getattr(module, "series_diff_report", None)
+        if real is not None:
+            monkeypatch.setattr(module, "series_diff_report",
+                                lambda lhs, rhs, real=real:
+                                calls.append(1) or real(lhs, rhs))
+    argv = line.split() + ["--max-order", "2"]
+    code, out, err = run_main(capsys, *argv)
+    rep = json.loads(out)
+    reports = [rep] + report_checks(rep)
+    compared = sum("coefficients" in r for r in reports)
+    assert code == 0
+    assert len(calls) == compared
+    code, out, err = run_main(capsys, *argv, "--format", "text")
+    lines = [text.strip() for text in out.splitlines()]
+    assert sum(text.startswith("coefficients compared: ")
+               for text in lines) == compared
+    assert [text for text in lines[2:] if text.endswith(": PASS")] \
+        == [c["name"] + ": PASS" for c in reports[1:]]
+
+
 def test_verify_appendixA_text_names_first_failure(capsys, monkeypatch):
     """A failing box-count check prints its first failure record, the
     first entry of the JSON report's `failures`."""
@@ -466,10 +522,13 @@ PINNED_OUTPUTS = {
         "characters --m 3,2 --s 2,3 --max-order 4",
         {"json": "a3969dfbdcb4e9f3ce7cadab04b108ae9abe38574f1e9690749fc4ce2a616748",
          "text": "15ca0a74067014778c919bb5eb5c171980f69c10e12ff6de1134f71cd1261d27"}),
+    # "folded": the JSON before each comparison was a named check, made
+    # again from today's by `fold_checks`
     "verify-wz-three-indices": (
         "verify-wz --m 3,2 --s 2,3 --max-order 4",
-        {"json": "594d4f8bc358d547ad249f64f797fdc31bbeef1c951fd841facba25821565aed",
-         "text": "9c44d48fd7aec6c5157d8778bd0ed163b3968615a8699d797c4753375385babb"}),
+        {"json": "b22329d2b5205e2d3ec9ccdb6427b5890b29f247081056c3b14b7853dd0a622f",
+         "text": "9c44d48fd7aec6c5157d8778bd0ed163b3968615a8699d797c4753375385babb",
+         "folded": "594d4f8bc358d547ad249f64f797fdc31bbeef1c951fd841facba25821565aed"}),
     # the bytes printed when criterion 4 also compared the one-block
     # W-character with Z itself, the comparison verify_WZ makes on BLOCKS[0]
     "acceptance": (
@@ -481,21 +540,45 @@ PINNED_OUTPUTS = {
     # report's inputs (max_order) added since
     "verify-lemma32": (
         "verify-lemma32 --max-order 6",
-        {"json": "4a294709cd461ac661d177f871b00912030b23777a35ae8000f03441b0e1cb41",
-         "text": "ad29de17537e5075770658b154cd2aadb534ec0d23892099b4ff80ebb17bdcb5"}),
+        {"json": "3377e23fc8cc779e9488adf30b60ec970b5377c5adffa27354fadf548d656ecf",
+         "text": "ad29de17537e5075770658b154cd2aadb534ec0d23892099b4ff80ebb17bdcb5",
+         "folded": "4a294709cd461ac661d177f871b00912030b23777a35ae8000f03441b0e1cb41"}),
 }
+
+
+def fold_checks(rep):
+    """A verify report in its layout before every comparison was a named
+    check: verify-wz's cross-check as four `brute_*` fields after the
+    report's own, and lemma32's checks without their names."""
+    checks = rep.pop("checks")
+    if [c["name"] for c in checks] == ["localization cross-check"]:
+        rep.update(brute_checked=True, brute_equal=checks[0]["equal"],
+                   brute_coefficients=checks[0]["coefficients"])
+        if "first_diff" in checks[0]:
+            rep["brute_first_diff"] = checks[0]["first_diff"]
+    else:
+        rep["checks"] = [{k: v for k, v in c.items() if k != "name"}
+                         for c in checks]
+    return rep
 
 
 @pytest.mark.parametrize("line, digests", PINNED_OUTPUTS.values(),
                          ids=PINNED_OUTPUTS.keys())
 def test_output_pinned(line, digests):
     """The command prints the bytes of an earlier implementation (sha256,
-    JSON and text)."""
-    for fmt, digest in digests.items():
+    JSON and text); where only the JSON layout changed since, the JSON
+    folded back into the old layout hashes to the old bytes."""
+    outs = {}
+    for fmt in ("json", "text"):
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
             assert cli.main(line.split() + ["--format", fmt]) == 0
-        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
+        outs[fmt] = buf.getvalue()
+    if "folded" in digests:
+        outs["folded"] = json.dumps(fold_checks(json.loads(outs["json"])),
+                                    indent=2) + "\n"
+    assert {fmt: hashlib.sha256(outs[fmt].encode()).hexdigest()
+            for fmt in digests} == digests
 
 
 def test_benchmark_trace_targets_resolve():
@@ -706,7 +789,7 @@ def test_golden_fixtures_load():
             if name.startswith("golden ")] \
         == ["golden " + name for name, _, _ in acceptance.GOLDEN]
     for name, _, _ in acceptance.GOLDEN:
-        assert acceptance.load_golden(name) is not None, name
+        assert json.loads(acceptance._fixture(name)) is not None, name
 
 
 @settings(max_examples=15)
