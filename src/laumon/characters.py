@@ -304,16 +304,21 @@ def verify_verma_vs_X1(N, n_max, v_cap, denominator=None):
 
     Check one compares the factor lists: X_1's factors with their y
     exponents dropped and the Verma factors are one multiset of (z, u)
-    bases, so their products agree at every order.  Check two expands the
+    bases, so their products agree at every order.  It counts the N^2
+    Verma factors as checked, and its failures are the first 10 bases
+    whose multiplicities differ, each with both.  Check two expands the
     X_1 factors in the (z, v) space and compares with the denominator on
     its whole window: `denominator`, when the caller has it already, else
     affine_verma_denominator(N, n_max, v_cap)."""
     b = BlockData((N,), (1,))
-    same = (Counter(f[1:] for f in x_i_factors(b, 1))
-            == Counter(f[1:] for f in affine_verma_factors(N)))
+    x1 = Counter(f[1:] for f in x_i_factors(b, 1))
+    verma = Counter(f[1:] for f in affine_verma_factors(N))
+    failures = [{"factor": render_factor(UZFactor(0, *f)), "X_1": x1[f],
+                 "verma": verma[f]} for f in x1 | verma if x1[f] != verma[f]]
     if denominator is None:
         denominator = affine_verma_denominator(N, n_max, v_cap)
     rep2 = series_diff_report(denominator, x_i_unrefined_zu(b, 1, n_max, v_cap))
-    return {"equal": same and rep2["equal"],
-            "checks": [{"equal": same, "name": "factors_vs_X1"},
+    return {"equal": not failures and rep2["equal"],
+            "checks": [{"equal": not failures, "checked": verma.total(),
+                        "failures": failures[:10], "name": "factors_vs_X1"},
                        dict(rep2, name="direct_zu_vs_denominator")]}

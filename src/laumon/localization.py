@@ -23,8 +23,8 @@ import itertools
 from collections import Counter
 from operator import mul, sub
 
-from .partitions import (col_heights, colored_counts, enumerate_partitions,
-                         partition_sum_lhs)
+from .partitions import (col_heights, colored_counts, partition_sum_lhs,
+                         partitions_upto)
 from .series import Series, canonical_space
 
 
@@ -102,7 +102,7 @@ def fixed_points_of_size(r, total):
     r = check_ranks(r)
     if total < 0:
         raise ValueError("total must be non-negative")
-    by_size = [enumerate_partitions(k) for k in range(total + 1)]
+    by_size = partitions_upto(total)
     return [FixedPoint(mus) for comp in _compositions(total, sum(r))
             for mus in itertools.product(*(by_size[k] for k in comp))]
 
@@ -124,7 +124,7 @@ def enumerate_fixed_points(r, n):
                          % (len(n), ell))
     if any(x < 0 for x in n):
         raise ValueError("occupation entries must be non-negative")
-    by_size = [enumerate_partitions(k) for k in range(sum(n) + 1)]
+    by_size = partitions_upto(sum(n))
     res = [a for a, _ in sectors(r)]
     choices = {a: [((k, i, mu), colored_counts(mu, a, ell))
                    for k, mus in enumerate(by_size) for i, mu in enumerate(mus)]

@@ -5,6 +5,13 @@ decreasing, with () the empty partition; its column count is mu[0] (0 if
 empty).  The box set is {(i, j) : 1 <= i <= mu[j-1]} with i the column
 index and j the row index, both 1-based.  The color of box (i, j) in an
 a-colored diagram is a - j + 1 reduced mod ell and depends only on the row.
+
+`partitions_upto(n)` builds the partitions of every size up to n in one
+table, each size from the smaller ones; a caller that needs several sizes
+reads one table.  The leg of box (i, j) is h(i) - j, h the column height;
+each column holds one box of each leg below its height, so `leg_counts`
+equals the rows, the identity `appendixA_report` compares once per
+partition.
 """
 
 from .series import Series, canonical_space
@@ -27,20 +34,29 @@ def boxes(mu):
             yield (i, j)
 
 
-def _descending(n, maxpart):
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, maxpart), 0, -1):
-        for rest in _descending(n - first, first):
-            yield (first,) + rest
+def partitions_upto(n):
+    """[partitions of m for m in 0..n], each list in descending
+    lexicographic order, built by size: the partitions of m with first part
+    f are f put before those of m - f whose first part is <= f, a suffix of
+    that list.  Each call builds its own table."""
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    # starts[k][f]: where the partitions of k with first part <= f begin
+    table, starts = [[()]], [[0]]
+    for m in range(1, n + 1):
+        out, start = [], [0] * (m + 1)
+        for f in range(m, 0, -1):
+            start[f] = len(out)
+            rest = table[m - f]
+            out += [(f,) + mu for mu in rest[starts[m - f][min(f, m - f)]:]]
+        table.append(out)
+        starts.append(start)
+    return table
 
 
 def enumerate_partitions(n):
     """All partitions of n, each once, in descending lexicographic order."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    return list(_descending(n, n))
+    return partitions_upto(n)[n]
 
 
 def colored_counts(mu, a, ell):
@@ -81,20 +97,30 @@ def count_N2_geq(mu, c, ell):
     return sum(r for j, r in enumerate(mu, start=1) if (j - 1 - c) % ell == 0)
 
 
+def leg_counts(mu):
+    """legs[k]: the boxes (i, j) of mu with leg h(i) - j = k, from one walk
+    over the boxes, column by column, from the column heights h."""
+    legs = [0] * len(mu)
+    for h in col_heights(mu):
+        for k in range(h):
+            legs[k] += 1
+    return legs
+
+
 def box_count_table(mu, ell):
-    """(N1>=, N1>, N2>=) of mu, each a list indexed by c % ell, from one pass
-    over the rows: N1 counts the legs h(i) - j of the boxes and N2 adds each
-    row length at its row index j - 1, as the count_* functions do."""
+    """(N1>=, N1>, N2>=) of mu, each a list indexed by c % ell: N1 sums the
+    leg counts by residue, N1> leaving out the legs 0, and N2 adds each row
+    length at its row index j - 1, as the count_* functions do."""
     if ell < 2:
         raise ValueError("ell must be >= 2")
-    heights = col_heights(mu)
-    n1_geq, n1_gt, n2_geq = [0] * ell, [0] * ell, [0] * ell
-    for j, r in enumerate(mu, start=1):
-        n2_geq[(j - 1) % ell] += r
-        for h in heights[:r]:
-            n1_geq[(h - j) % ell] += 1
-            if h > j:
-                n1_gt[(h - j) % ell] += 1
+    legs = leg_counts(mu)
+    n1_geq, n2_geq = [0] * ell, [0] * ell
+    for k, x in enumerate(legs):
+        n1_geq[k % ell] += x
+    for k, r in enumerate(mu):
+        n2_geq[k % ell] += r
+    n1_gt = n1_geq[:]
+    n1_gt[0] -= legs[0] if legs else 0
     return n1_geq, n1_gt, n2_geq
 
 
@@ -103,27 +129,31 @@ def appendixA_report(max_size):
     max_size, ell in {2,3,4,5}, and every admissible residue."""
     if max_size < 0:
         raise ValueError("max_size must be non-negative")
+    mus = [mu for by_size in partitions_upto(max_size) for mu in by_size]
+    ells = (2, 3, 4, 5)
+    # N1>= at residue c sums legs[k] over k = c mod ell, and N2>= sums the
+    # rows mu[k] over the same k; N1> leaves out legs[0], and its other
+    # side, N2>= less mu[0] at c = 0, leaves out mu[0].  So legs == mu
+    # certifies every (ell, c) case of both bijections: only a partition
+    # whose legs differ gets tables, walked residue by residue where they
+    # differ too.  Each residue c in -ell+1..ell-1 is one case.
+    wrong = [mu for mu in mus if leg_counts(mu) != list(mu)]
     failures = []
-    checked = 0
-    by_size = [enumerate_partitions(n) for n in range(max_size + 1)]
-    for ell in (2, 3, 4, 5):
-        for mus in by_size:
-            for mu in mus:
-                n1_geq, n1_gt, n2_geq = box_count_table(mu, ell)
-                # each residue c in -ell+1..ell-1 is one check; the tables
-                # are walked residue by residue only when they differ
-                checked += 2 * ell - 1
-                want_gt = n2_geq[:]
-                want_gt[0] -= mu[0] if mu else 0
-                if n1_geq == n2_geq and n1_gt == want_gt:
-                    continue
-                for c in range(-ell + 1, ell):
-                    g1, g2, gt = n1_geq[c % ell], n2_geq[c % ell], n1_gt[c % ell]
-                    if g1 != g2 or gt != want_gt[c % ell]:
-                        failures.append({"mu": list(mu), "ell": ell,
-                                         "c": c, "n1_geq": g1, "n2_geq": g2,
-                                         "n1_gt": gt})
-    return {"equal": not failures, "checked": checked,
+    for ell in ells:
+        for mu in wrong:
+            n1_geq, n1_gt, n2_geq = box_count_table(mu, ell)
+            want_gt = n2_geq[:]
+            want_gt[0] -= mu[0] if mu else 0
+            if n1_geq == n2_geq and n1_gt == want_gt:
+                continue
+            for c in range(-ell + 1, ell):
+                g1, g2, gt = n1_geq[c % ell], n2_geq[c % ell], n1_gt[c % ell]
+                if g1 != g2 or gt != want_gt[c % ell]:
+                    failures.append({"mu": list(mu), "ell": ell,
+                                     "c": c, "n1_geq": g1, "n2_geq": g2,
+                                     "n1_gt": gt})
+    return {"equal": not failures,
+            "checked": len(mus) * sum(2 * ell - 1 for ell in ells),
             "failures": failures[:10]}
 
 
@@ -132,8 +162,8 @@ def partition_sum_lhs(a, ell, n_max):
     |mu| <= n_max adds y^col(mu) prod_b q_b^(boxes of color b), y playing v
     and q_b playing X_b in canonical_space(ell, n_max)."""
     terms = {}
-    for n in range(n_max + 1):
-        for mu in enumerate_partitions(n):
+    for mus in partitions_upto(n_max):
+        for mu in mus:
             m = (mu[0] if mu else 0,) + colored_counts(mu, a, ell)
             terms[m] = terms.get(m, 0) + 1
     # every count is >= 1 and every degree |mu| <= n_max: already clean

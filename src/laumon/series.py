@@ -14,7 +14,7 @@ integers, so a monomial product is one integer addition; tuples come back
 only in the result's terms.  `expand` packs all variables but one, the
 limb, whose polynomial at a key is one integer of fixed-width slots.  It
 divides by each inverse Pochhammer factor (1 - m) in place, which only
-adds, so no slot carries.  It also takes upper bounds on the exponents of
+adds, so no slot carries, highest graded degree first.  It also takes upper bounds on the exponents of
 variables that no family lowers, and then drops each term as soon as it
 leaves that box, which is exact because those exponents only grow; a
 bounded digit carries a guard bit, so the test is one AND per packed key.
@@ -333,7 +333,8 @@ def expand(space, families, bounds=None):
 
     Divides by one factor (1 - m) at a time, in place: the terms sit in
     buckets by graded degree, and sweeping the degrees upward, the
-    coefficient at x + m gains the coefficient at x, already divided.
+    coefficient at x + m gains the coefficient at x, already divided.  The
+    factors go in descending graded degree, ties in family order.
     Truncation by graded degree is a ring map only without caps, so a
     capped space is refused; every base and step needs graded degree >= 1.
 
@@ -346,10 +347,11 @@ def expand(space, families, bounds=None):
     moves the slots left, and dividing by a factor is one shifted add per
     key.  Without a limb there is one slot and every shift is 0.  No slot
     carries into the next: every coefficient is >= 0, as the division only
-    adds; a partial product's coefficient is at most the final one, as the
-    factors left are 1 + (terms >= 0); and that is at most the coefficient
-    at its degree of the univariate image (graded variables -> t, the others
-    -> 1), whose largest coefficient has bit length B.
+    adds; a partial product's coefficient is at most the final one, in any
+    factor order, as the factors left are 1 + (terms >= 0); and that is at
+    most the coefficient at its degree of the univariate image (graded
+    variables -> t, the others -> 1), whose largest coefficient has bit
+    length B.
 
     `bounds` maps variables to upper bounds on their exponents, and the
     result is then the full expansion cropped to that box.  Every base and
@@ -403,8 +405,7 @@ def expand(space, families, bounds=None):
     ey = (lambda m: 0) if limb is None else itemgetter(limb)
     g = gcd(*(ey(m) for f in fams for m in f)) or 1
     beta = max((-(ey(m) // g // space.gdeg(m)) for f in fams for m in f), default=0)
-    plan = []
-    img = [1] + [0] * trunc    # the univariate image
+    factors = []    # (degree, packed key, slot shift) of each factor
     for base, step in fams:
         # balanced-digit keys (offsets 0): adding one multiplies by it
         m, dm = keys.pack([base, step], unit)
@@ -415,30 +416,33 @@ def expand(space, families, bounds=None):
                 count = min(count, (b - base[i]) // step[i] + 1)
             elif base[i] > b:
                 count = 0
-        plan.append((m, dm, ey(base) // g + beta * d,
-                     ey(step) // g + beta * dd, d, dd, count))
-        for e in range(d, d + count * dd, dd):
-            for deg in range(trunc - e + 1):
-                img[deg + e] += img[deg]
+        s, ds = ey(base) // g + beta * d, ey(step) // g + beta * dd
+        factors += [(d + k * dd, m + k * dm, s + k * ds) for k in range(count)]
+    # A factor of degree d sweeps the buckets 0..trunc - d, so the factors
+    # of high degree go first, while those buckets are nearly empty; the
+    # sort is stable, so ties keep family order.  Any order gives the same
+    # product, and no slot carries in any, as every partial product is a
+    # sub-product of the whole.
+    factors.sort(key=itemgetter(0), reverse=True)
+    img = [1] + [0] * trunc    # the univariate image
+    for d, _, _ in factors:
+        for deg in range(trunc - d + 1):
+            img[deg + d] += img[deg]
     # a slot: B bits rounded up to 1, 2, 4 or 8 bytes or k 8-byte words, for struct
     nbytes = 1 << max(0, (max(img).bit_length() - 1).bit_length() - 3)
     size, k = 8 * nbytes, max(1, nbytes // 8)
     fmt = "BHIQ"[min(nbytes, 8).bit_length() - 1]
     buckets = [{} for _ in range(trunc + 1)]
     buckets[0][keys.pack([unit], keys.lo)[0]] = 1
-    for m, dm, s, ds, d, dd, count in plan:
-        s, ds = s * size, ds * size
-        for _ in range(count):
-            for deg in range(trunc - d + 1):
-                dst = buckets[deg + d]
-                get = dst.get
-                for x, c in buckets[deg].items():
-                    x += m
-                    if not x & guard:
-                        dst[x] = get(x, 0) + (c << s)
-            m += dm
-            s += ds
-            d += dd
+    for d, m, s in factors:
+        s *= size
+        for deg in range(trunc - d + 1):
+            dst = buckets[deg + d]
+            get = dst.get
+            for x, c in buckets[deg].items():
+                x += m
+                if not x & guard:
+                    dst[x] = get(x, 0) + (c << s)
     terms = {}
     for deg, b in enumerate(buckets):
         if limb is None:    # one slot: a value is its coefficient

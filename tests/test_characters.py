@@ -227,7 +227,8 @@ def test_verify_verma_vs_X1():
         rep = ch.verify_verma_vs_X1(*args)
         assert rep["equal"], (args, rep)
         factors, direct = rep["checks"]
-        assert factors == {"equal": True, "name": "factors_vs_X1"}
+        assert factors == {"equal": True, "checked": args[0] ** 2,
+                           "failures": [], "name": "factors_vs_X1"}
         assert direct["name"] == "direct_zu_vs_denominator"
         assert direct["coefficients"] > 0
 
@@ -253,7 +254,10 @@ def test_a_shifted_verma_factor_fails_check_one_and_row_10c(monkeypatch):
         return out[:-1] + [f._replace(u=f.u[:-1] + (f.u[-1] + 1,))]
     monkeypatch.setattr(ch, "affine_verma_factors", shifted)
     rep = ch.verify_verma_vs_X1(3, 4, 4)
-    assert rep["checks"][0] == {"equal": False, "name": "factors_vs_X1"}
+    assert rep["checks"][0] == {
+        "equal": False, "checked": 9, "name": "factors_vs_X1",
+        "failures": [{"factor": "(z*u2*u3^-1)_inf^-1", "X_1": 1, "verma": 0},
+                     {"factor": "(z*u2)_inf^-1", "X_1": 0, "verma": 1}]}
     assert not rep["equal"]
     row = dict(acceptance.CRITERIA)[
         "10c Verma denominator vs single-block character"]

@@ -345,24 +345,21 @@ def test_every_comparison_is_reported(capsys, monkeypatch, line):
 
 def test_verify_appendixA_text_names_first_failure(capsys, monkeypatch):
     """A failing box-count check prints its first failure record, the
-    first entry of the JSON report's `failures`."""
-    real = partitions.box_count_table
-
-    def skewed(mu, ell):
-        n1_geq, n1_gt, n2_geq = real(mu, ell)
-        return n1_geq, n1_gt, [x + 1 for x in n2_geq]
-    monkeypatch.setattr(partitions, "box_count_table", skewed)
+    first entry of the JSON report's `failures`: here every partition
+    gains a box of leg len(mu), one past its tallest column."""
+    real = partitions.leg_counts
+    monkeypatch.setattr(partitions, "leg_counts", lambda mu: real(mu) + [1])
     code, out, err = run_main(capsys, "verify-appendixA", "--max-order", "1",
                               "--format", "text")
     assert code == 1
     assert out == ("box-count bijections: FAIL\n"
                    "  inputs: max_order=1\n"
                    "  cases checked: 48\n"
-                   '  first failure: {"mu": [], "ell": 2, "c": -1, '
-                   '"n1_geq": 0, "n2_geq": 1, "n1_gt": 0}\n')
+                   '  first failure: {"mu": [], "ell": 2, "c": 0, '
+                   '"n1_geq": 1, "n2_geq": 0, "n1_gt": 0}\n')
     code, out, err = run_main(capsys, "verify-appendixA", "--max-order", "1")
     assert json.loads(out)["failures"][0] == {
-        "mu": [], "ell": 2, "c": -1, "n1_geq": 0, "n2_geq": 1, "n1_gt": 0}
+        "mu": [], "ell": 2, "c": 0, "n1_geq": 1, "n2_geq": 0, "n1_gt": 0}
 
 
 def test_morse_text_without_fixed_points(capsys):
@@ -543,6 +540,17 @@ PINNED_OUTPUTS = {
         {"json": "3377e23fc8cc779e9488adf30b60ec970b5377c5adffa27354fadf548d656ecf",
          "text": "ad29de17537e5075770658b154cd2aadb534ec0d23892099b4ff80ebb17bdcb5",
          "folded": "4a294709cd461ac661d177f871b00912030b23777a35ae8000f03441b0e1cb41"}),
+    # the bytes printed when every partition's box counts were tabled and
+    # compared once per ell, each size enumerated on its own, and `expand`
+    # divided by the factors in family order
+    "verify-appendixA": (
+        "verify-appendixA --max-order 14",
+        {"json": "84f17aab906727ad9fb3c2d6f9bf907d497f7ad94f6ca4c08aacd9aa56078f1d",
+         "text": "eea80583e04110a64735f81462a2cdbf0aa8635b1255bcf90107e50eb361e4dc"}),
+    "verify-lemma32-order-10": (
+        "verify-lemma32 --max-order 10",
+        {"json": "88c0c0de6aaeec2ee942664ea44e071daf4c17dc9cde80b4cfe12ce36e5e71f1",
+         "text": "d4518ee9702234f740e1dcd4fd6c095c8f5925235f51546cfaff5d2c228b60cc"}),
 }
 
 

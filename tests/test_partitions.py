@@ -9,7 +9,7 @@ from laumon.partitions import (appendixA_report, box_count_table, boxes,
                                col_heights,
                                colored_counts, count_N1_geq, count_N1_gt,
                                count_N2_geq, enumerate_partitions,
-                               partition_sum_lhs)
+                               leg_counts, partition_sum_lhs, partitions_upto)
 from laumon.series import canonical_space
 
 PARTITION_NUMBERS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
@@ -25,6 +25,32 @@ def test_enumeration_counts_and_order():
             assert all(a >= b for a, b in zip(mu, mu[1:]))
         # canonical order: descending lexicographic on the row tuples
         assert parts == sorted(parts, reverse=True)
+
+
+def _descending(n, maxpart):
+    """The partitions of n with parts <= maxpart, largest first part
+    first, by recursion on the first part."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, maxpart), 0, -1):
+        for rest in _descending(n - first, first):
+            yield (first,) + rest
+
+
+def test_partitions_upto_is_the_recursive_enumeration():
+    table = partitions_upto(20)
+    assert len(table) == 21
+    assert [len(mus) for mus in table[:len(PARTITION_NUMBERS)]] \
+        == PARTITION_NUMBERS
+    assert len(table[20]) == 627
+    for n, mus in enumerate(table):
+        assert mus == list(_descending(n, n))
+        assert enumerate_partitions(n) == mus
+    assert partitions_upto(0) == [[()]]
+    for bad in (partitions_upto, enumerate_partitions):
+        with pytest.raises(ValueError):
+            bad(-1)
 
 
 def test_conjugation_involution():
@@ -45,6 +71,18 @@ def test_col_heights_match_definition():
             want = tuple(sum(1 for r in mu if r >= i)
                          for i in range(1, (mu[0] if mu else 0) + 1))
             assert col_heights(mu) == want
+
+
+def test_leg_counts_match_definition():
+    """legs[k] counts the boxes (i, j) with h(i) - j = k, the column
+    heights h read from the rows; they are the rows themselves, the
+    identity appendixA_report certifies both bijections by."""
+    for n in range(13):
+        for mu in enumerate_partitions(n):
+            want = [0] * len(mu)
+            for i, j in boxes(mu):
+                want[sum(1 for r in mu if r >= i) - j] += 1
+            assert leg_counts(mu) == want == list(mu)
 
 
 def test_boxes_match_size():
@@ -156,36 +194,44 @@ class Table(list):
 
 
 def test_appendixA_report_walks_residues_only_on_a_failure(monkeypatch):
-    """With a table off by one at one residue (N1> at residue 2 for
-    ell = 3, two-row partitions), the report holds the residue-by-residue
-    `checked` and first 10 failures, in order, and reads single residues
-    from the tables of the failing (mu, ell) only."""
-    real = partitions.box_count_table
+    """With one leg count off by one (a box of leg 1 added to every
+    two-row partition), the report holds the residue-by-residue `checked`
+    and first 10 failures, in order, and builds and reads the tables of
+    the failing (mu, ell) only."""
+    real_legs, real_table = partitions.leg_counts, partitions.box_count_table
     tables = {}
 
-    def off_by_one(mu, ell):
-        table = real(mu, ell)
-        if ell == 3 and len(mu) == 2:
-            table[1][2] += 1
-        table = tuple(map(Table, table))
+    def off_by_one(mu):
+        legs = real_legs(mu)
+        if len(mu) == 2:
+            legs[1] += 1
+        return legs
+
+    def recorded(mu, ell):
+        table = tuple(map(Table, real_table(mu, ell)))
         for t in table:
             t.reads = []
         tables[mu, ell] = table
         return table
 
-    monkeypatch.setattr(partitions, "box_count_table", off_by_one)
+    monkeypatch.setattr(partitions, "leg_counts", off_by_one)
+    monkeypatch.setattr(partitions, "box_count_table", recorded)
     for max_size in (0, 1, 6, 9):
-        want = reference_appendixA_report(max_size)
         tables.clear()
-        assert appendixA_report(max_size) == want
+        got = appendixA_report(max_size)
         read = {key for key, table in tables.items()
                 if any(t.reads for t in table)}
-        assert read == {(mu, ell) for mu, ell in tables
-                        if ell == 3 and len(mu) == 2}
+        assert read == set(tables) == {
+            (mu, ell) for n in range(max_size + 1)
+            for mu in enumerate_partitions(n) if len(mu) == 2
+            for ell in (2, 3, 4, 5)}
+        want = reference_appendixA_report(max_size)
+        assert got == want
     # 97 partitions of size <= 9, 3 + 5 + 7 + 9 residues each
     assert want["checked"] == 97 * 24
     assert not want["equal"] and len(want["failures"]) == 10
-    monkeypatch.setattr(partitions, "box_count_table", real)
+    monkeypatch.setattr(partitions, "leg_counts", real_legs)
+    monkeypatch.setattr(partitions, "box_count_table", real_table)
     assert appendixA_report(12) == reference_appendixA_report(12)
 
 

@@ -133,6 +133,7 @@ UNREACHED = {
     "_check_residue": "count_N1_geq", "boxes": "tests",
     "coefficient": "tests", "count_N1_geq": "TARGETS",
     "count_N1_gt": "TARGETS", "count_N2_geq": "TARGETS",
+    "enumerate_partitions": "TARGETS",
     "factor_base_canonical": "refs.py", "fixed_point_morse_index": "tests",
     "from_json_dict": "TARGETS", "geometric_inverse": "TARGETS",
     "invariant_part": "tests", "mono": "from_json_dict",

@@ -395,6 +395,21 @@ def test_expand_limb_edge_cases(name):
         assert want.coefficient((255, 255)) == 256
 
 
+@settings(max_examples=60)
+@given(st.one_of(families().map(lambda case: case + (None,)),
+                 bounded_families().map(lambda case: (case[0], case[2], case[1])),
+                 st.sampled_from(sorted(LIMB_EDGES)).map(LIMB_EDGES.get)),
+       st.data())
+def test_expand_is_independent_of_family_order(case, data):
+    """`expand` divides by its factors in descending degree, ties in family
+    order: shuffling the families, unbounded, bounded or past the limb's
+    edges, gives the same terms."""
+    space, fams, bounds = case
+    shuffled = data.draw(st.permutations(fams))
+    assert (expand(space, shuffled, bounds).terms
+            == expand(space, fams, bounds).terms)
+
+
 def test_substitute_is_homomorphism():
     rng = random.Random(13)
     src = space2(3)
