@@ -9,10 +9,10 @@ diagrams, one per sector 1..sum(r), whose combined color counts equal n;
 `sectors(r)` lays out each sector's residue and offset, once.
 Per-fixed-point data (Morse indices, tangent characters) enumerates the
 tuples, and both index passes read one per-call component table; the
-generating function factors over the components instead: it multiplies R
-reweighted copies of the colored partition sum of Lemma 3.2, one per
-sector.  It uses only partitions and the per-component Morse formula,
-never the closed product forms.
+generating function factors over the components instead: it is one
+`series.product` call over R reweighted copies of the colored partition
+sum of Lemma 3.2, one per sector.  It uses only partitions and the
+per-component Morse formula, never the closed product forms.
 
 Rank vectors are validated once, by `check_ranks` at the entry points
 (`brute_force_Z` and the fixed-point enumerations); the per-component
@@ -25,7 +25,7 @@ from operator import mul, sub
 
 from .partitions import (col_heights, colored_counts, partition_sum_lhs,
                          partitions_upto)
-from .series import Series, canonical_space
+from .series import Series, canonical_space, product
 
 
 def check_ranks(r):
@@ -336,21 +336,18 @@ def brute_force_Z(r, n_max):
 
     The occupation vector and the Morse index of a fixed point are sums of
     one term per component, so the sum over R-tuples of partitions is the
-    ordered product over beta of single-partition sums: Lemma 3.2's sum
-    `partition_sum_lhs` of the residue a of beta, built once per residue,
-    reweighted y^col q^cc -> y^(2 (<cc, r> - col * offset)) q^cc.
+    product over beta of single-partition sums, taken in one `product`
+    call: Lemma 3.2's sum `partition_sum_lhs` of the residue a of beta,
+    built once per residue, reweighted
+    y^col q^cc -> y^(2 (<cc, r> - col * offset)) q^cc.
     """
     r = check_ranks(r)
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
     ell = len(r)
-    sums = {}
-    out = Series.one(canonical_space(ell, n_max))
-    for a, offset in sectors(r):
-        if a not in sums:
-            sums[a] = partition_sum_lhs(a, ell, n_max)
-        # injective, as offset >= 1: no two terms meet, none cancels
-        out = out * Series(out.space, {
-            (2 * _morse_term(m[1:], m[0], offset, r),) + m[1:]: c
-            for m, c in sums[a].terms.items()})
-    return out
+    space = canonical_space(ell, n_max)
+    sums = {a: partition_sum_lhs(a, ell, n_max) for a in dict(sectors(r))}
+    # injective, as offset >= 1: no two terms meet, none cancels
+    return product(space, [Series(space, {
+        (2 * _morse_term(m[1:], m[0], offset, r),) + m[1:]: c
+        for m, c in sums[a].terms.items()}) for a, offset in sectors(r)])

@@ -4,20 +4,23 @@ A VariableSpace fixes an ordered list of variable names, the subset of
 variables whose total exponent is the truncation grading, the truncation
 bound, and optional per-variable caps on absolute exponents.  Caps are
 only an output window: `Series.from_terms` crops to them and JSON records
-them, but cropping to a cap is not a ring map, so the products (`__mul__`,
+them, but cropping to a cap is not a ring map, so the products (`product`,
 `expand`) and `substitute` refuse a capped space.
 
 Monomials are exponent tuples aligned with the variable order.  Series
 coefficients are arbitrary-precision integers; `+`, `-` and `*` take Series
-of one space only.  The product kernels pack exponents into mixed-radix
-integers, so a monomial product is one integer addition; tuples come back
-only in the result's terms.  `expand` packs all variables but one, the
-limb, whose polynomial at a key is one integer of fixed-width slots.  It
-divides by each inverse Pochhammer factor (1 - m) in place, which only
-adds, so no slot carries, highest graded degree first.  It also takes upper bounds on the exponents of
-variables that no family lowers, and then drops each term as soon as it
-leaves that box, which is exact because those exponents only grow; a
-bounded digit carries a guard bit, so the test is one AND per packed key.
+of one space only.  The two kernels pack all variables but one, the limb,
+into mixed-radix integers, so a monomial product is one integer addition,
+and hold the limb's polynomial at a key as one integer of fixed-width
+slots; tuples come back only in the result's terms.  `product`, which
+`*` calls, multiplies any number of series at once, packing each once
+and the running product never unpacked; its slots hold signed digits.
+`expand` divides by each inverse Pochhammer factor (1 - m) in place,
+which only adds, so no slot carries, highest graded degree first.  It
+also takes upper bounds on the exponents of variables that no family
+lowers, and then drops each term as soon as it leaves that box, which is
+exact because those exponents only grow; a bounded digit carries a guard
+bit, so the test is one AND per packed key.
 
 `json_chunks` streams the text of json.dumps(obj, indent=2).  A subtree
 wrapped in `Shared` is written once per indentation, and that text is
@@ -28,7 +31,7 @@ iterator.
 # the C encoder json.encoder re-exports, taken without loading json
 from _json import encode_basestring_ascii
 from collections.abc import Iterator
-from itertools import accumulate, chain, compress, repeat
+from itertools import chain, compress, repeat
 from math import gcd
 from operator import add, itemgetter
 from struct import Struct
@@ -159,22 +162,6 @@ class _Packing:
         return zip(*cols) if cols else [()] * len(keys)
 
 
-def _exponent_range(terms):
-    """Entrywise least and greatest exponents over a non-empty support."""
-    cols = list(zip(*terms))
-    return tuple(map(min, cols)), tuple(map(max, cols))
-
-
-def _by_degree(space, terms, keys, offsets):
-    """(graded degree, key, coefficient) of each term, by ascending degree."""
-    cols = list(zip(*terms))
-    degs = [0] * len(terms)
-    for i in space._gidx:
-        degs = list(map(add, degs, cols[i]))
-    return sorted(zip(degs, keys.pack(terms, offsets), terms.values()),
-                  key=itemgetter(0))
-
-
 class Series:
     """Immutable truncated Laurent series over a VariableSpace."""
 
@@ -236,34 +223,7 @@ class Series:
 
     def __mul__(self, other):
         self._require_same(other)
-        sp = self.space
-        if sp.caps:
-            raise SeriesError("product on a capped space")
-        if not self.terms or not other.terms:
-            return Series(sp, {})
-        # packed keys: the key of m1 (offsets lo_a) plus the key of m2
-        # (offsets lo_b) is the key of m1 * m2 (offsets lo_a + lo_b)
-        lo_a, hi_a = _exponent_range(self.terms)
-        lo_b, hi_b = _exponent_range(other.terms)
-        keys = _Packing(tuple(map(add, lo_a, lo_b)), tuple(map(add, hi_a, hi_b)))
-        a = _by_degree(sp, self.terms, keys, lo_a)
-        b = _by_degree(sp, other.terms, keys, lo_b)
-        trunc = sp.truncation
-        # upto[d]: how many terms of b have graded degree <= d
-        upto = [0] * (trunc + 1)
-        for g, _, _ in b:
-            upto[g] += 1
-        upto = list(accumulate(upto))
-        b = [(k, c) for _, k, c in b]
-        out = {}
-        get = out.get
-        for g1, k1, c1 in a:
-            for k2, c2 in b[:upto[trunc - g1]]:
-                k = k1 + k2
-                out[k] = get(k, 0) + c1 * c2
-        del a, b    # the packed operands; unpacking sets the peak memory
-        return Series(sp, {m: c for m, c in zip(keys.unpack(out), out.values())
-                           if c})
+        return product(self.space, [self, other])
 
     def __eq__(self, other):
         return (isinstance(other, Series)
@@ -292,6 +252,140 @@ class Series:
 
     def __repr__(self):
         return "Series(%s)" % (render_text(self),)
+
+
+def _slot_layout(bits, signed):
+    """(bits, bytes, struct codes) of one slot of at least `bits` bits: 1,
+    2, 4 or 8 bytes, or k 8-byte words, lowest first; a signed slot reads
+    its top word signed."""
+    nbytes = 1 << max(0, (bits - 1).bit_length() - 3)
+    codes = "BHIQ"[nbytes.bit_length() - 1] if nbytes <= 8 else "Q" * (nbytes // 8)
+    if signed:
+        codes = codes[:-1] + codes[-1].lower()
+    return 8 * nbytes, nbytes, codes
+
+
+def product(space, operands):
+    """The truncated product of the Series in `operands`, any number of
+    them, all of `space`; no operands give 1.  Truncation by graded degree
+    is a ring map only without caps, so a capped space is refused.
+
+    Each operand is packed once, by one `_Packing` whose range is the sum
+    of the operands' ranges, into buckets by graded degree; the running
+    product stays packed in them, and is unpacked once, at the end.  The
+    limb, left out of the keys, is the first ungraded variable whose
+    exponent varies within an operand.  At a key, its polynomial is one
+    integer of W-bit slots: slot j holds the coefficient at limb exponent
+    lo + g * j, lo the sum of the operands' least limb exponents and g the
+    gcd of every exponent's distance from its operand's least.  So a
+    product of two keyed terms is one integer addition and one multiply,
+    and the limb, being ungraded, is never truncated.
+
+    The integer at a key is its limb polynomial evaluated at 2^W, exactly,
+    at every step, so only the result's slots need to fit.  None overflows:
+    a coefficient of degree d is a sum of products c_1 ... c_R of one
+    coefficient of each operand, of degrees adding up to d, so it is at
+    most the degree-d coefficient of the product of the operands'
+    univariate images (graded variables -> t, the others -> 1, every
+    coefficient -> its absolute value), truncated; that is at most
+    prod_k sum |c| over the operands.  W is the bit length of the image's
+    largest coefficient plus a sign bit, rounded up for struct, so every
+    slot is a balanced digit, -2^(W-1) < c < 2^(W-1).  Decoding reads the
+    digits with a borrow: adding h = 2^(W-1) to every slot makes each one
+    c + h, in 0 .. 2^W - 1, and the carries of that addition are the
+    borrows; flipping each slot's top bit back leaves c in two's
+    complement, read signed.
+    """
+    operands = list(operands)
+    if space.caps:
+        raise SeriesError("product on a capped space")
+    for s in operands:
+        if not isinstance(s, Series) or s.space != space:
+            raise SeriesError("product: operand not a Series of %r" % (space,))
+    unit = space.unit()
+    if not all(s.terms for s in operands):
+        return Series(space, {})
+    if not operands:
+        return Series(space, {unit: 1})
+    trunc = space.truncation
+    cols = [list(zip(*s.terms)) for s in operands]
+    los = [tuple(map(min, c)) for c in cols]
+    his = [tuple(map(max, c)) for c in cols]
+    degs = []
+    for s, c in zip(operands, cols):
+        d = [0] * len(s.terms)
+        for i in space._gidx:
+            d = list(map(add, d, c[i]))
+        degs.append(d)
+    limb = next((i for i in range(len(unit)) if i not in space._gidx
+                 and any(lo[i] != hi[i] for lo, hi in zip(los, his))), None)
+    keys = _Packing(tuple(map(sum, zip(*los))), tuple(map(sum, zip(*his))),
+                    [i for i in range(len(unit)) if i != limb])
+    size = 0    # no limb: one slot, and a value is its coefficient
+    if limb is not None:
+        g = gcd(*(e - lo[limb] for c, lo in zip(cols, los) for e in c[limb]))
+        image = [1] + [0] * trunc
+        for s, d in zip(operands, degs):
+            img = [0] * (trunc + 1)
+            for e, c in zip(d, s.terms.values()):
+                img[e] += abs(c)
+            image = [sum(image[i] * img[e - i] for i in range(e + 1))
+                     for e in range(trunc + 1)]
+        size, nbytes, codes = _slot_layout(max(image).bit_length() + 1, True)
+        nwords = len(codes)
+
+    def packed(k):
+        """The buckets of operand k: {key: limb polynomial} by degree."""
+        s, lo = operands[k], los[k]
+        shifts = (repeat(0) if limb is None else
+                  [(e - lo[limb]) // g * size for e in cols[k][limb]])
+        buckets = [{} for _ in range(trunc + 1)]
+        for d, x, c, sh in zip(degs[k], keys.pack(s.terms, lo),
+                               s.terms.values(), shifts):
+            b = buckets[d]
+            b[x] = b.get(x, 0) + (c << sh)
+        return buckets
+
+    acc = packed(0)
+    for k in range(1, len(operands)):
+        b = [list(x.items()) for x in packed(k)]
+        out = [{} for _ in range(trunc + 1)]
+        for d1, src in enumerate(acc):
+            items = src.items()
+            for d2 in range(trunc - d1 + 1):
+                dst = out[d1 + d2]
+                get = dst.get
+                for x1, v1 in items:
+                    for x2, v2 in b[d2]:
+                        x = x1 + x2
+                        dst[x] = get(x, 0) + v1 * v2
+        acc = out
+    del cols, degs    # unpacking sets the peak memory
+    terms = {}
+    readers = {}    # slot count -> (read, bias, limb exponent cells)
+    for b in acc:
+        if limb is None:
+            terms.update((m, c) for m, c in zip(keys.unpack(b), b.values()) if c)
+            continue
+        for t, v in zip(keys.unpack(b), b.values()):
+            if not v:
+                continue
+            n = v.bit_length() // size + 1
+            if n not in readers:
+                readers[n] = (Struct("<" + codes * n).unpack,
+                              (1 << (size - 1)) * ((1 << n * size) - 1)
+                              // ((1 << size) - 1),
+                              [(keys.lo[limb] + g * j,) for j in range(n)])
+            read, bias, cells = readers[n]
+            words = read(((v + bias) ^ bias).to_bytes(n * nbytes, "little"))
+            slots = words[nwords - 1::nwords]    # the top words, signed
+            for j in range(nwords - 2, -1, -1):
+                slots = [(a << 64) + w for a, w in zip(slots, words[j::nwords])]
+            monos = map(add, map(add, repeat(t[:limb]), compress(cells, slots)),
+                        repeat(t[limb + 1:]))
+            terms.update(zip(monos, compress(slots, slots)))
+        b.clear()
+    return Series(space, terms)
 
 
 def geometric_inverse(space, m):
@@ -428,10 +522,8 @@ def expand(space, families, bounds=None):
     for d, _, _ in factors:
         for deg in range(trunc - d + 1):
             img[deg + d] += img[deg]
-    # a slot: B bits rounded up to 1, 2, 4 or 8 bytes or k 8-byte words, for struct
-    nbytes = 1 << max(0, (max(img).bit_length() - 1).bit_length() - 3)
-    size, k = 8 * nbytes, max(1, nbytes // 8)
-    fmt = "BHIQ"[min(nbytes, 8).bit_length() - 1]
+    size, nbytes, codes = _slot_layout(max(img).bit_length(), False)
+    k = len(codes)
     buckets = [{} for _ in range(trunc + 1)]
     buckets[0][keys.pack([unit], keys.lo)[0]] = 1
     for d, m, s in factors:
@@ -450,7 +542,7 @@ def expand(space, families, bounds=None):
         else:
             n = max(b.values(), default=0).bit_length() // size + 1    # slots
             cells = [(y,) for y in range(-g * beta * deg, g * (n - beta * deg), g)]
-            read = Struct("<%d%s" % (n * k, fmt)).unpack
+            read = Struct("<" + codes * n).unpack
             for v, t in zip(b.values(), keys.unpack(b)):
                 words = read(v.to_bytes(n * nbytes, "little"))
                 slots = words[::k]

@@ -551,6 +551,17 @@ PINNED_OUTPUTS = {
         "verify-lemma32 --max-order 10",
         {"json": "88c0c0de6aaeec2ee942664ea44e071daf4c17dc9cde80b4cfe12ce36e5e71f1",
          "text": "d4518ee9702234f740e1dcd4fd6c095c8f5925235f51546cfaff5d2c228b60cc"}),
+    # the bytes printed when the localization sum folded its sector sums
+    # two at a time: coefficients past 2^10 and 2^9, read from 32-bit
+    # slots, where the benchmark's lines use 16-bit ones
+    "zr-brute": (
+        "zr-brute --ranks 2,2,1 --max-order 12",
+        {"json": "d97ffb2cb0a3bee1c8df7a953a16a6e64ef12e01989917b53dfbbe1a37e40c68",
+         "text": "f1275a81d8296efc46adc97b2ac906e6e5c09970405cc8f1502793b12503db13"}),
+    "zr-brute-four-residues": (
+        "zr-brute --ranks 3,2,1,1 --max-order 10",
+        {"json": "b1e2ea3a6704927b3d594ef2177c934dba09dbcf77293ede4a303a0f9499ad27",
+         "text": "92c7b9e33f54eb9809ebadb0011c3198bcc44593d38bc84470b49075849e5b03"}),
 }
 
 

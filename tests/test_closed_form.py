@@ -33,6 +33,12 @@ def test_theorem_Z_matches_oracle():
     assert verify_theorem_Z((2, 1), 3) == {"equal": True, "coefficients": 25}
 
 
+def test_theorem_Z_matches_oracle_at_order_14():
+    """Five sector sums in one product, with coefficients past 2^12 in
+    32-bit limb slots."""
+    assert brute_force_Z((2, 2, 1), 14) == theorem_Z((2, 2, 1), 14)
+
+
 @settings(max_examples=40)
 @given(r=st.lists(st.integers(0, 2), min_size=2, max_size=4)
        .filter(any).map(tuple),

@@ -4,6 +4,7 @@ serialization."""
 import json
 import random
 from collections import namedtuple
+from functools import reduce
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -12,8 +13,8 @@ from hypothesis import strategies as st
 from laumon.series import (_BATCH, Series, SeriesError, Shared,
                            VariableSpace, canonical_space, expand, from_json_dict,
                            geometric_inverse, json_chunks, pochhammer_inverse,
-                           render_text, series_diff_report, substitute,
-                           to_json_dict)
+                           product, render_text, series_diff_report,
+                           substitute, to_json_dict)
 
 
 def space2(trunc=4):
@@ -319,6 +320,58 @@ def test_mul_commutes_with_truncation(case, k):
     sp, a, b = case
     k = min(k, sp.truncation)
     assert (a * b).truncate(k) == a.truncate(k) * b.truncate(k)
+
+
+def folded(sp, operands):
+    """The operands' product by `tuple_mul`, one at a time from 1."""
+    return reduce(tuple_mul, operands, Series.one(sp))
+
+
+GRADED = VariableSpace(("a", "b"), ("a", "b"), 3)
+NO_VARIABLES = VariableSpace((), (), 2)
+
+
+@settings(max_examples=150)
+@given(st.integers(0, 5).flatmap(series_in_one_space))
+@example((space2(2),))
+@example((space2(2), Series.from_terms(space2(2), {(1, 1, 0): 3}),
+          Series(space2(2), {})))
+# y never varies within an operand: no limb, though y is ungraded
+@example((space2(3),
+          Series.from_terms(space2(3), {(4, 1, 0): -2 ** 70, (4, 0, 1): 5}),
+          Series.from_terms(space2(3), {(-1, 0, 0): 3, (-1, 2, -1): 2 ** 70})))
+# no ungraded variable at all, and no variable at all
+@example((GRADED,) + (Series.from_terms(GRADED, {(0, 0): 2, (2, -1): -3}),) * 3)
+@example((NO_VARIABLES,) + (Series.from_terms(NO_VARIABLES, {(): -2 ** 70}),) * 2)
+def test_product_equals_folded_tuple_product(case):
+    sp, *operands = case
+    assert product(sp, operands) == folded(sp, operands)
+
+
+@pytest.mark.parametrize("bits", [4, 7, 8, 16, 32, 63, 64])
+def test_product_slots_at_the_width_bound(bits):
+    """Coefficients near the slot bound, c + 1 = 2^bits - 1, whose bit
+    lengths (bits, 2 * bits, 3 * bits) are often a whole slot: a slot
+    without its sign bit misreads them.  Each key holds two limb slots of
+    opposite signs, so the lower one is read with a borrow."""
+    sp = space2(2)
+    c = (1 << bits) - 2
+    pos, neg = (Series.from_terms(sp, {(0, 0, 0): s * c, (2, 0, 0): -s,
+                                       (1, 1, 0): s}) for s in (1, -1))
+    for operands in ([pos], [neg], [pos, pos], [pos, neg], [neg, neg, neg]):
+        assert product(sp, operands) == folded(sp, operands)
+
+
+def test_product_refuses_caps_mismatches_and_other_types():
+    sp = capped_space(3, 2)
+    s = Series.from_terms(sp, {sp.mono(z=1, v1=1): 1})
+    for operands in ([], [s], [s, s]):
+        with pytest.raises(SeriesError):
+            product(sp, operands)
+    one = Series.one(space2(3))
+    for operands in ([one, Series.one(space2(2))], [one, 1], [s]):
+        with pytest.raises(SeriesError):
+            product(space2(3), operands)
 
 
 @st.composite
