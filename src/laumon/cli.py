@@ -160,9 +160,13 @@ def _checked_ranks(cfg):
 
 
 def _report_lines(name, rep, indent):
-    """The verdict line of a report, then one level in: each check's own
-    lines, and what the report's own comparison covered, in one fixed
-    order.  Only the fields a report holds are written."""
+    """The verdict line of a report, then one level in: each check as
+    `name: PASS/FAIL` with what it covered, then what the report's own
+    comparison covered, in one fixed order.  Only the fields a report holds
+    are written.  Every report has one shape: `equal`, its own comparison's
+    fields (`coefficients` and `first_diff`, or `checked` and `failures`),
+    maybe `families`, and maybe `checks`, named reports of the same shape;
+    its `equal` includes every check's."""
     lines = ["%s%s: %s" % (indent, name, "PASS" if rep["equal"] else "FAIL")]
     indent += "  "
     for check in rep.get("checks", ()):
@@ -177,25 +181,18 @@ def _report_lines(name, rep, indent):
                     if value is not None]
 
 
-def _verify_text(title, rep, inputs):
-    """A verify report as text: the verdict and the inputs line, then each
-    check as `name: PASS/FAIL` with what it covered, then what the report's
-    own comparison covered.  Every report has one shape: `equal`, its own
-    comparison's fields (`coefficients` and `first_diff`, or `checked` and
-    `failures`), maybe `families`, and maybe `checks`, named reports of the
-    same shape; its `equal` includes every check's."""
-    lines = _report_lines(title, rep, "")
-    lines.insert(1, "  inputs: " + ", ".join("%s=%s" % (k, _dumps(rep[k]))
-                                             for k in inputs))
-    return lines
-
-
 def _verify_out(title, cfg, rep):
-    """A verify report led by what it compared: the command's options."""
+    """A verify report led by what it compared: the command's options.  Its
+    text is `_report_lines` with the inputs line after the verdict."""
     inputs = [o[0] for o in COMMANDS[cfg.command][1].values()]
     rep = {**{k: getattr(cfg, k) for k in inputs}, **rep}
-    return ((0 if rep["equal"] else 1), rep,
-            lambda: "\n".join(_verify_text(title, rep, inputs)))
+
+    def text():
+        lines = _report_lines(title, rep, "")
+        lines.insert(1, "  inputs: " + ", ".join("%s=%s" % (k, _dumps(rep[k]))
+                                                 for k in inputs))
+        return "\n".join(lines)
+    return (0 if rep["equal"] else 1), rep, text
 
 
 def _call(module, func, title=None):

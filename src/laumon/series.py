@@ -12,12 +12,13 @@ coefficients are arbitrary-precision integers; `+`, `-` and `*` take Series
 of one space only.  The two kernels pack all variables but one, the limb,
 into mixed-radix integers, so a monomial product is one integer addition,
 and hold the limb's polynomial at a key as one integer of fixed-width
-slots; tuples come back only in the result's terms.  `product`, which
-`*` calls, multiplies any number of series at once, packing each once
-and the running product never unpacked; its slots hold signed digits.
-`expand` divides by each inverse Pochhammer factor (1 - m) in place,
-which only adds, so no slot carries, highest graded degree first.  It
-also takes upper bounds on the exponents of variables that no family
+slots, in one format that `_Slots` reads back: signed digits in
+`product`, coefficients >= 0 in `expand`.  Tuples come back only in the
+result's terms.  `product`, which `*` calls, multiplies any number of
+series at once, packing each once and the running product never
+unpacked.  `expand` divides by each inverse Pochhammer factor (1 - m) in
+place, which only adds, so no slot carries, highest graded degree first.
+It also takes upper bounds on the exponents of variables that no family
 lowers, and then drops each term as soon as it leaves that box, which is
 exact because those exponents only grow; a bounded digit carries a guard
 bit, so the test is one AND per packed key.
@@ -124,20 +125,20 @@ class _Packing:
     entry lies in lo[i] .. hi[i].
 
     The key of m with offsets o is sum (m_i - o_i) * w_i.  The digits are
-    laid out in `order` (by default the variable order): the first has
-    weight 1, each next one the last times its radix hi - lo + 1, and one
-    left out weight 0, unpacking as its lo.  With offsets lo every digit
-    fits its radix, so no carry crosses digits and unpack() reads m back.  Keys
-    add: key(m1, o1) + key(m2, o2) = key(m1 + m2, o1 + o2), so a monomial product
-    is one integer addition as long as the product lies in range.
+    laid out in `order`: the first has weight 1, each next one the last
+    times its radix hi - lo + 1, and one left out weight 0, unpacking as
+    its lo.  With offsets lo every digit fits its radix, so no carry
+    crosses digits and unpack() reads m back.  Keys add: key(m1, o1) +
+    key(m2, o2) = key(m1 + m2, o1 + o2), so a monomial product is one
+    integer addition as long as the product lies in range.
     """
 
     __slots__ = ("lo", "radix", "weights", "order")
 
-    def __init__(self, lo, hi, order=None):
+    def __init__(self, lo, hi, order):
         self.lo = lo
         self.radix = tuple(h - l + 1 for l, h in zip(lo, hi))
-        self.order = tuple(range(len(lo)) if order is None else order)
+        self.order = tuple(order)
         weights = [0] * len(lo)
         w = 1
         for i in self.order:
@@ -222,7 +223,6 @@ class Series:
         return self + (-other)
 
     def __mul__(self, other):
-        self._require_same(other)
         return product(self.space, [self, other])
 
     def __eq__(self, other):
@@ -254,15 +254,56 @@ class Series:
         return "Series(%s)" % (render_text(self),)
 
 
-def _slot_layout(bits, signed):
-    """(bits, bytes, struct codes) of one slot of at least `bits` bits: 1,
-    2, 4 or 8 bytes, or k 8-byte words, lowest first; a signed slot reads
-    its top word signed."""
-    nbytes = 1 << max(0, (bits - 1).bit_length() - 3)
-    codes = "BHIQ"[nbytes.bit_length() - 1] if nbytes <= 8 else "Q" * (nbytes // 8)
-    if signed:
-        codes = codes[:-1] + codes[-1].lower()
-    return 8 * nbytes, nbytes, codes
+class _Slots:
+    """The limb polynomial at a packed key, held as one integer of W-bit
+    slots: slot j of a bucket holds the coefficient at limb exponent
+    first + g * j, `first` the bucket's own.  A slot is 1, 2, 4 or 8 bytes,
+    or k 8-byte words read top word first, W the least such width of at
+    least the bits asked for.  Unsigned slots hold coefficients >= 0.
+    Signed slots hold balanced digits, -2^(W-1) < c < 2^(W-1), read with a
+    borrow: adding h = 2^(W-1) to every slot makes each one c + h, in
+    0 .. 2^W - 1, and the carries of that addition are the borrows;
+    flipping each slot's top bit back leaves c in two's complement, read
+    signed.  Without a limb a value is its coefficient."""
+
+    __slots__ = ("size", "codes", "half")
+
+    def __init__(self, bits, signed):
+        nbytes = 1 << max(0, (bits - 1).bit_length() - 3)
+        codes = "BHIQ"[nbytes.bit_length() - 1] if nbytes <= 8 else "Q" * (nbytes // 8)
+        self.size = 8 * nbytes
+        self.codes = codes[:-1] + codes[-1].lower() if signed else codes
+        self.half = signed << self.size - 1    # h, or 0 if unsigned
+
+    def terms(self, keys, buckets, limb, g, firsts):
+        """The nonzero terms in `buckets`, dicts {packed key: integer}, each
+        cleared once read; `firsts` gives each bucket's first limb exponent."""
+        size, codes, half = self.size, self.codes, self.half
+        nwords = len(codes)
+        readers = {}    # slot count -> (read, bias)
+        terms = {}
+        for b, first in zip(buckets, firsts):
+            if limb is None:
+                terms.update(compress(zip(keys.unpack(b), b.values()), b.values()))
+                b.clear()
+                continue
+            n = max(map(int.bit_length, b.values()), default=0) // size + 1
+            cells = [(first + g * j,) for j in range(n)]
+            for t, v in zip(keys.unpack(b), b.values()):
+                n = v.bit_length() // size + 1    # slots
+                if n not in readers:
+                    readers[n] = (Struct("<" + codes * n).unpack,
+                                  half * ((1 << n * size) - 1) // ((1 << size) - 1))
+                read, bias = readers[n]
+                words = read(((v + bias) ^ bias).to_bytes(n * size // 8, "little"))
+                slots = words[nwords - 1::nwords]    # the top words, signed or not
+                for j in range(nwords - 2, -1, -1):
+                    slots = [(a << 64) + w for a, w in zip(slots, words[j::nwords])]
+                monos = map(add, map(add, repeat(t[:limb]), compress(cells, slots)),
+                            repeat(t[limb + 1:]))    # of the nonzero slots only
+                terms.update(zip(monos, compress(slots, slots)))
+            b.clear()
+        return terms
 
 
 def product(space, operands):
@@ -289,12 +330,8 @@ def product(space, operands):
     univariate images (graded variables -> t, the others -> 1, every
     coefficient -> its absolute value), truncated; that is at most
     prod_k sum |c| over the operands.  W is the bit length of the image's
-    largest coefficient plus a sign bit, rounded up for struct, so every
-    slot is a balanced digit, -2^(W-1) < c < 2^(W-1).  Decoding reads the
-    digits with a borrow: adding h = 2^(W-1) to every slot makes each one
-    c + h, in 0 .. 2^W - 1, and the carries of that addition are the
-    borrows; flipping each slot's top bit back leaves c in two's
-    complement, read signed.
+    largest coefficient plus a sign bit, rounded up as `_Slots` does, so
+    every slot is a balanced digit, -2^(W-1) < c < 2^(W-1).
     """
     operands = list(operands)
     if space.caps:
@@ -321,24 +358,24 @@ def product(space, operands):
                  and any(lo[i] != hi[i] for lo, hi in zip(los, his))), None)
     keys = _Packing(tuple(map(sum, zip(*los))), tuple(map(sum, zip(*his))),
                     [i for i in range(len(unit)) if i != limb])
-    size = 0    # no limb: one slot, and a value is its coefficient
+    g = first = None    # no limb: one slot, and a value is its coefficient
     if limb is not None:
         g = gcd(*(e - lo[limb] for c, lo in zip(cols, los) for e in c[limb]))
-        image = [1] + [0] * trunc
-        for s, d in zip(operands, degs):
-            img = [0] * (trunc + 1)
-            for e, c in zip(d, s.terms.values()):
-                img[e] += abs(c)
-            image = [sum(image[i] * img[e - i] for i in range(e + 1))
-                     for e in range(trunc + 1)]
-        size, nbytes, codes = _slot_layout(max(image).bit_length() + 1, True)
-        nwords = len(codes)
+        first = keys.lo[limb]
+    image = [1] + [0] * trunc
+    for s, d in zip(operands, degs):
+        img = [0] * (trunc + 1)
+        for e, c in zip(d, s.terms.values()):
+            img[e] += abs(c)
+        image = [sum(image[i] * img[e - i] for i in range(e + 1))
+                 for e in range(trunc + 1)]
+    slots = _Slots(max(image).bit_length() + 1, True)
 
     def packed(k):
         """The buckets of operand k: {key: limb polynomial} by degree."""
         s, lo = operands[k], los[k]
         shifts = (repeat(0) if limb is None else
-                  [(e - lo[limb]) // g * size for e in cols[k][limb]])
+                  [(e - lo[limb]) // g * slots.size for e in cols[k][limb]])
         buckets = [{} for _ in range(trunc + 1)]
         for d, x, c, sh in zip(degs[k], keys.pack(s.terms, lo),
                                s.terms.values(), shifts):
@@ -361,31 +398,7 @@ def product(space, operands):
                         dst[x] = get(x, 0) + v1 * v2
         acc = out
     del cols, degs    # unpacking sets the peak memory
-    terms = {}
-    readers = {}    # slot count -> (read, bias, limb exponent cells)
-    for b in acc:
-        if limb is None:
-            terms.update((m, c) for m, c in zip(keys.unpack(b), b.values()) if c)
-            continue
-        for t, v in zip(keys.unpack(b), b.values()):
-            if not v:
-                continue
-            n = v.bit_length() // size + 1
-            if n not in readers:
-                readers[n] = (Struct("<" + codes * n).unpack,
-                              (1 << (size - 1)) * ((1 << n * size) - 1)
-                              // ((1 << size) - 1),
-                              [(keys.lo[limb] + g * j,) for j in range(n)])
-            read, bias, cells = readers[n]
-            words = read(((v + bias) ^ bias).to_bytes(n * nbytes, "little"))
-            slots = words[nwords - 1::nwords]    # the top words, signed
-            for j in range(nwords - 2, -1, -1):
-                slots = [(a << 64) + w for a, w in zip(slots, words[j::nwords])]
-            monos = map(add, map(add, repeat(t[:limb]), compress(cells, slots)),
-                        repeat(t[limb + 1:]))
-            terms.update(zip(monos, compress(slots, slots)))
-        b.clear()
-    return Series(space, terms)
+    return Series(space, slots.terms(keys, acc, limb, g, repeat(first)))
 
 
 def geometric_inverse(space, m):
@@ -522,12 +535,11 @@ def expand(space, families, bounds=None):
     for d, _, _ in factors:
         for deg in range(trunc - d + 1):
             img[deg + d] += img[deg]
-    size, nbytes, codes = _slot_layout(max(img).bit_length(), False)
-    k = len(codes)
+    slots = _Slots(max(img).bit_length(), False)
     buckets = [{} for _ in range(trunc + 1)]
     buckets[0][keys.pack([unit], keys.lo)[0]] = 1
     for d, m, s in factors:
-        s *= size
+        s *= slots.size
         for deg in range(trunc - d + 1):
             dst = buckets[deg + d]
             get = dst.get
@@ -535,24 +547,8 @@ def expand(space, families, bounds=None):
                 x += m
                 if not x & guard:
                     dst[x] = get(x, 0) + (c << s)
-    terms = {}
-    for deg, b in enumerate(buckets):
-        if limb is None:    # one slot: a value is its coefficient
-            terms.update(zip(keys.unpack(b), b.values()))
-        else:
-            n = max(b.values(), default=0).bit_length() // size + 1    # slots
-            cells = [(y,) for y in range(-g * beta * deg, g * (n - beta * deg), g)]
-            read = Struct("<" + codes * n).unpack
-            for v, t in zip(b.values(), keys.unpack(b)):
-                words = read(v.to_bytes(n * nbytes, "little"))
-                slots = words[::k]
-                for j in range(1, k):
-                    slots = [a + (w << 64 * j) for a, w in zip(slots, words[j::k])]
-                monos = map(add, map(add, repeat(t[:limb]), compress(cells, slots)),
-                            repeat(t[limb + 1:]))    # of the nonzero slots only
-                terms.update(zip(monos, compress(slots, slots)))
-        b.clear()
-    return Series(space, terms)
+    return Series(space, slots.terms(keys, buckets, limb, g,
+                                     [-g * beta * d for d in range(trunc + 1)]))
 
 
 def substitute(s, mapping, target):

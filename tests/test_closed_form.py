@@ -54,6 +54,18 @@ def test_theorem_Z_nonnegative_coefficients():
         assert all(c > 0 for c in theorem_Z(r, 3).terms.values())
 
 
+@pytest.mark.parametrize("r", [(2, 2, 1), (3, 1, 2), (1, 1, 1, 1), (3, 3)])
+def test_theorem_Z_y0_part_is_one_per_occupation(r):
+    """Z has no negative y exponent, and its y^0 part is the sum of q^n over
+    every occupation vector n with |n| <= 10, each coefficient 1: one fixed
+    point of Morse index 0 per occupation vector, as H^0 of a connected
+    space is one-dimensional."""
+    z = theorem_Z(r, 10)
+    assert min(m[0] for m in z.terms) == 0
+    assert {m[1:]: c for m, c in z.terms.items() if m[0] == 0} == {
+        n: 1 for n in itertools.product(range(11), repeat=len(r)) if sum(n) <= 10}
+
+
 def test_theorem_Z_zero_rank_entry():
     # observed robustness beyond the usual positive-rank assumption;
     # emits no error and still matches the localization sum

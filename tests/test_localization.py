@@ -371,6 +371,24 @@ def test_morse_formula_matches_tangent_index_to_total_7(r, count):
         assert total == 2 * sum(r) * sum(map(sum, fp.mus)), (r, fp)
 
 
+@pytest.mark.parametrize("r, top, count", [
+    ((2, 2, 1), 6, 2052), ((3, 3), 6, 3857), ((3, 1, 2), 5, 1365),
+    ((2, 1, 1, 1), 5, 787)])
+def test_invariant_count_formula_and_one_index_zero_point(r, top, count):
+    """At every fixed point of total size <= top, occupation vector n, the
+    invariant tangent count is sum_a n_a (r_a + r_{a-1 mod ell}); this
+    formula was found numerically, not taken from the paper.  Each
+    occupation vector has exactly one fixed point of Morse index 0, as H^0
+    of a connected space is one-dimensional."""
+    fps = [fp for total in range(top + 1) for fp in fixed_points_of_size(r, total)]
+    assert len(fps) == count
+    index_zero = {}
+    for fp, (n, w, _, inv, _) in zip(fps, fixed_point_data(r, fps)):
+        assert inv == sum(n[a] * (r[a] + r[a - 1]) for a in range(len(r))), (r, fp)
+        index_zero[n] = index_zero.get(n, 0) + (w == 0)
+    assert set(index_zero.values()) == {1}
+
+
 def test_fixed_points_of_size_matches_per_composition():
     """Partitions enumerated once per size give the tuples the
     per-composition enumeration gave, in the same order."""

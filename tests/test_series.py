@@ -5,6 +5,7 @@ import json
 import random
 from collections import namedtuple
 from functools import reduce
+from math import comb
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -342,6 +343,9 @@ NO_VARIABLES = VariableSpace((), (), 2)
           Series.from_terms(space2(3), {(-1, 0, 0): 3, (-1, 2, -1): 2 ** 70})))
 # no ungraded variable at all, and no variable at all
 @example((GRADED,) + (Series.from_terms(GRADED, {(0, 0): 2, (2, -1): -3}),) * 3)
+# (1 + a)(1 - a): no limb, and the coefficient of a cancels to 0
+@example((GRADED, Series.from_terms(GRADED, {(0, 0): 1, (1, 0): 1}),
+          Series.from_terms(GRADED, {(0, 0): 1, (1, 0): -1})))
 @example((NO_VARIABLES,) + (Series.from_terms(NO_VARIABLES, {(): -2 ** 70}),) * 2)
 def test_product_equals_folded_tuple_product(case):
     sp, *operands = case
@@ -446,6 +450,28 @@ def test_expand_limb_edge_cases(name):
         assert max(want.terms.values()) > 2 ** 64
     if name == "image_2^8":
         assert want.coefficient((255, 255)) == 256
+
+
+# bits -> (truncation T, copies c): c - 1 families 1/(1 - y q0) and one
+# 1/(1 - y^-1 q0), whose univariate image peaks at C(T + c - 1, T)
+SLOT_EDGES = {8: (2, 17), 9: (2, 24), 16: (3, 59), 17: (4, 35),
+              32: (7, 71), 33: (7, 79), 64: (12, 197), 65: (12, 209)}
+
+
+@pytest.mark.parametrize("bits", sorted(SLOT_EDGES))
+def test_expand_slots_at_the_width_bound(bits):
+    """The image's largest coefficient, and the largest coefficient of y^T
+    q0^T, C(T + c - 2, T), have bit length `bits`: a full 1-, 2-, 4- or
+    8-byte slot, or one bit past it, in the next width; past 64 bits a slot
+    is two words, read top word first."""
+    trunc, copies = SLOT_EDGES[bits]
+    space = canonical_space(1, trunc)
+    fams = [(_Y_PLUS, (0, trunc + 1))] * (copies - 1) + [(_Y_MINUS, (0, trunc + 1))]
+    assert comb(trunc + copies - 1, trunc).bit_length() == bits
+    want = reduce(tuple_mul, (tuple_pochhammer(space, base, step)
+                              for base, step in fams), Series.one(space))
+    assert max(want.terms.values()).bit_length() == bits
+    assert expand(space, fams) == want
 
 
 @settings(max_examples=60)
