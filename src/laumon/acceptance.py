@@ -95,20 +95,21 @@ def _off_diagonal_rearrangement(v):
 
 
 def _partition_sum_identity(v):
-    return (closed_form.lemma32_report(6)["equal"],
+    return (closed_form.verify_partition_identity(6)["equal"],
             "all residues, ell in {2,3,4}, X-degree 6")
 
 
 def _tangent_invariants(v):
-    ok = True
+    # the invariant count's formula, the dimension, was found numerically
+    ok, zeros = True, {}
     for r in RANKS:
-        inv_by_occ = {}
         for occ, w, terms, inv, _ in v["fixed_points"][r]:
-            ok = ok and terms == 2 * sum(r) * sum(occ) and w >= 0
-            inv_by_occ.setdefault(occ, set()).add(inv)
-        ok = ok and all(len(invs) == 1 for invs in inv_by_occ.values())
-    return ok, ("raw counts, invariant-count constancy, index positivity "
-                "on the criterion-5 grid")
+            ok = ok and (terms, inv) == (2 * sum(r) * sum(occ), sum(
+                n * (r[a] + r[a - 1]) for a, n in enumerate(occ))) and w >= 0
+            zeros[r, occ] = zeros.get((r, occ), 0) + (w == 0)
+    return ok and set(zeros.values()) == {1}, (
+        "raw counts, invariant count sum_a n_a (r_a + r_(a-1)), one index-0 "
+        "point per occupation, index positivity on the criterion-5 grid")
 
 
 def _spin_dimension(v):

@@ -390,8 +390,9 @@ COMMANDS = {
                          _call("closed_form", "verify_appendixB",
                                "off-diagonal rearrangement chain")),
     "verify-lemma32": ("colored partition-sum identity over a grid",
-                       _order(6, 1), _call("closed_form", "lemma32_report",
-                                           "colored partition-sum identity")),
+                       _order(6, 1),
+                       _call("closed_form", "verify_partition_identity",
+                             "colored partition-sum identity")),
     "fixed-points": ("list fixed points of one component",
                      {**_RANKS, **_OCCUPATION}, _h_fixed_points),
     "morse": ("Morse indices, both ways, plus the Poincare polynomial",

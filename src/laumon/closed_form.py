@@ -15,7 +15,7 @@ and expands it by one call of `series.expand`.
 from itertools import combinations
 
 from .localization import brute_force_Z, check_ranks
-from .partitions import partition_sum_lhs
+from .partitions import partition_sums
 from .series import canonical_space, expand, series_diff_report
 
 
@@ -129,23 +129,18 @@ def verify_change_of_variables(r, n_max):
     return series_diff_report(theorem_Z(r, n_max), theorem_Z_u(r, n_max))
 
 
-def verify_partition_identity(a, ell, n_max):
-    """Check Lemma 3.2: the colored partition sum `partition_sum_lhs`
-    against its product side, the families of residue a with base times y
-    at ranks 0, where qtilde_b = q_b: (y z^k)_inf^(-1) times, for each c in
-    1..ell-1, (y z^k prod_{b=c}^{ell-1} q_{a-b}^(-1))_inf^(-1).
-    """
-    lhs = partition_sum_lhs(a, ell, n_max)
-    rhs = expand_product((0,) * ell, n_max,
-                         [(1, qt) for qt in _residue_bases(ell, a)])
-    return series_diff_report(lhs, rhs)
-
-
-def lemma32_report(n_max):
-    """verify_partition_identity for every residue a, ell in {2,3,4}."""
-    checks = [dict(verify_partition_identity(a, ell, n_max), a=a, ell=ell,
-                   name="a=%d ell=%d" % (a, ell))
-              for ell in (2, 3, 4) for a in range(ell)]
+def verify_partition_identity(n_max):
+    """Check Lemma 3.2 at every residue a, ell in {2,3,4}: `partition_sums`
+    against the families of residue a with base times y at ranks 0, where
+    qtilde_b = q_b: (y z^k)_inf^(-1) times, for each c in 1..ell-1,
+    (y z^k prod_{b=c}^{ell-1} q_{a-b}^(-1))_inf^(-1)."""
+    checks = []
+    for ell in (2, 3, 4):
+        for a, lhs in enumerate(partition_sums(ell, n_max)):
+            rhs = expand_product((0,) * ell, n_max,
+                                 [(1, qt) for qt in _residue_bases(ell, a)])
+            checks.append(dict(series_diff_report(lhs, rhs), a=a, ell=ell,
+                               name="a=%d ell=%d" % (a, ell)))
     return {"equal": all(c["equal"] for c in checks), "checks": checks}
 
 

@@ -23,7 +23,7 @@ import itertools
 from collections import Counter
 from operator import mul, sub
 
-from .partitions import (col_heights, colored_counts, partition_sum_lhs,
+from .partitions import (col_heights, colored_counts, partition_sums,
                          partitions_upto)
 from .series import Series, canonical_space, product
 
@@ -337,16 +337,15 @@ def brute_force_Z(r, n_max):
     The occupation vector and the Morse index of a fixed point are sums of
     one term per component, so the sum over R-tuples of partitions is the
     product over beta of single-partition sums, taken in one `product`
-    call: Lemma 3.2's sum `partition_sum_lhs` of the residue a of beta,
-    built once per residue, reweighted
+    call: Lemma 3.2's sum of the residue a of beta, every residue's from
+    one `partition_sums` walk, reweighted
     y^col q^cc -> y^(2 (<cc, r> - col * offset)) q^cc.
     """
     r = check_ranks(r)
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
-    ell = len(r)
-    space = canonical_space(ell, n_max)
-    sums = {a: partition_sum_lhs(a, ell, n_max) for a in dict(sectors(r))}
+    space = canonical_space(len(r), n_max)
+    sums = partition_sums(len(r), n_max)
     # injective, as offset >= 1: no two terms meet, none cancels
     return product(space, [Series(space, {
         (2 * _morse_term(m[1:], m[0], offset, r),) + m[1:]: c

@@ -157,14 +157,17 @@ def appendixA_report(max_size):
             "failures": failures[:10]}
 
 
-def partition_sum_lhs(a, ell, n_max):
-    """Lemma 3.2's colored partition sum of residue a: each partition with
-    |mu| <= n_max adds y^col(mu) prod_b q_b^(boxes of color b), y playing v
-    and q_b playing X_b in canonical_space(ell, n_max)."""
+def partition_sums(ell, n_max):
+    """[Lemma 3.2's colored partition sum of residue a for a < ell]: each
+    partition with |mu| <= n_max adds y^col(mu) prod_b q_b^(boxes of color
+    b), y playing v and q_b playing X_b in canonical_space(ell, n_max).  One
+    walk at residue 0 serves all: counts_a[b] = counts_0[(b - a) mod ell]."""
     terms = {}
     for mus in partitions_upto(n_max):
         for mu in mus:
-            m = (mu[0] if mu else 0,) + colored_counts(mu, a, ell)
+            m = (mu[0] if mu else 0,) + colored_counts(mu, 0, ell)
             terms[m] = terms.get(m, 0) + 1
+    space = canonical_space(ell, n_max)
     # every count is >= 1 and every degree |mu| <= n_max: already clean
-    return Series(canonical_space(ell, n_max), terms)
+    return [Series(space, {m[:1] + m[1 + ell - a:] + m[1:1 + ell - a]: c
+                           for m, c in terms.items()}) for a in range(ell)]

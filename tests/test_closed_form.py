@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from laumon import closed_form
+from laumon import closed_form, partitions
 from laumon.closed_form import (theorem_Z, theorem_Z_u, u_exponents, u_pair,
                                 u_qtilde, verify_appendixB,
                                 verify_change_of_variables,
@@ -127,14 +127,32 @@ def test_u_qtilde_is_linear(pair, k):
 
 
 def test_partition_identity():
-    assert verify_partition_identity(0, 2, 0) == {"equal": True,
-                                                  "coefficients": 1}
-    assert verify_partition_identity(0, 2, 6) == {"equal": True,
-                                                  "coefficients": 27}
-    assert verify_partition_identity(1, 3, 6) == {"equal": True,
-                                                  "coefficients": 29}
-    assert verify_partition_identity(2, 4, 5) == {"equal": True,
-                                                  "coefficients": 19}
+    """The nine named checks in order, ell outer, with the coefficient
+    counts of four of them."""
+    def checks(n_max):
+        rep = verify_partition_identity(n_max)
+        assert rep["equal"]
+        assert [c["name"] for c in rep["checks"]] == [
+            "a=%d ell=%d" % (a, ell) for ell in (2, 3, 4) for a in range(ell)]
+        return {c["name"]: c["coefficients"] for c in rep["checks"]}
+    assert checks(0)["a=0 ell=2"] == 1
+    at6 = checks(6)
+    assert (at6["a=0 ell=2"], at6["a=1 ell=3"]) == (27, 29)
+    assert checks(5)["a=2 ell=4"] == 19
+
+
+def test_partition_tables_built_once_per_sum(monkeypatch):
+    """brute_force_Z walks one partition table for all its residues, and
+    the Lemma 3.2 check one per ell."""
+    calls = []
+    real = partitions.partitions_upto
+    monkeypatch.setattr(partitions, "partitions_upto",
+                        lambda n: calls.append(n) or real(n))
+    brute_force_Z((2, 2, 1), 6)
+    assert calls == [6]
+    calls.clear()
+    verify_partition_identity(4)
+    assert calls == [4, 4, 4]
 
 
 def test_appendixB():

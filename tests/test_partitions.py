@@ -9,7 +9,7 @@ from laumon.partitions import (appendixA_report, box_count_table, boxes,
                                col_heights,
                                colored_counts, count_N1_geq, count_N1_gt,
                                count_N2_geq, enumerate_partitions,
-                               leg_counts, partition_sum_lhs, partitions_upto)
+                               leg_counts, partition_sums, partitions_upto)
 from laumon.series import canonical_space
 
 PARTITION_NUMBERS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
@@ -246,7 +246,7 @@ def test_box_count_table_matches_definitions(mu, ell):
 
 
 def test_partition_sum_lhs_small():
-    s = partition_sum_lhs(0, 2, 2)
+    s = partition_sums(2, 2)[0]
     # contributions: empty, (1), (2), (1,1)
     sp = s.space
     assert sp.names == ("y", "q0", "q1")
@@ -261,10 +261,13 @@ def test_partition_sum_lhs_small():
 
 @pytest.mark.parametrize("ell", [2, 3, 4])
 def test_partition_sum_lhs_matches_box_by_box_sum(ell):
-    """Lemma 3.2's sum, the one both brute_force_Z (criterion 1) and
+    """Lemma 3.2's sums, the ones both brute_force_Z (criterion 1) and
     verify_partition_identity (criterion 8) read, against a sum built box
-    by box: y per column, q_b per box of color a - j + 1 mod ell."""
+    by box at every residue: y per column, q_b per box of color a - j + 1
+    mod ell.  So the rotation from residue 0 is checked at each residue."""
     n_max = 8
+    sums = partition_sums(ell, n_max)
+    assert len(sums) == ell
     for a in range(ell):
         want = {}
         for n in range(n_max + 1):
@@ -273,11 +276,23 @@ def test_partition_sum_lhs_matches_box_by_box_sum(ell):
                 for _, j in boxes(mu):
                     m[1 + (a - j + 1) % ell] += 1
                 want[tuple(m)] = want.get(tuple(m), 0) + 1
-        s = partition_sum_lhs(a, ell, n_max)
+        s = sums[a]
         assert s.space == canonical_space(ell, n_max)
         assert s.terms == want
 
 
 def test_partition_sum_lhs_rejects_small_ell():
     with pytest.raises(ValueError):
-        partition_sum_lhs(0, 1, 3)
+        partition_sums(1, 3)
+
+
+def test_colored_counts_rotate_with_the_residue():
+    """The identity partition_sums rests on: residue a's counts are
+    residue 0's rotated, counts_a[b] = counts_0[(b - a) mod ell]."""
+    for mus in partitions_upto(10):
+        for mu in mus:
+            for ell in range(2, 6):
+                zero = colored_counts(mu, 0, ell)
+                for a in range(ell):
+                    assert colored_counts(mu, a, ell) == tuple(
+                        zero[(b - a) % ell] for b in range(ell)), (mu, a, ell)
