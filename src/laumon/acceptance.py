@@ -20,8 +20,9 @@ GOLDEN = (tuple(("zr_%s.json" % "_".join(map(str, r)), "Z", r) for r in RANKS)
 
 
 def shared():
-    """theorem_Z at order 4 and fixed_point_data for totals <= 4 per rank,
-    the golden Verma denominators, and 50 seeded block shapes."""
+    """theorem_Z and brute_force_Z at order 4 and fixed_point_data for
+    totals <= 4 per rank, the golden Verma denominators, and 50 seeded
+    block shapes."""
     rng = random.Random(20260823)
     shapes = []
     for _ in range(50):
@@ -31,6 +32,7 @@ def shared():
         shapes.append(characters.BlockData(m, s))
     return {
         "Z": {r: closed_form.theorem_Z(r, 4) for r in RANKS},
+        "brute": {r: localization.brute_force_Z(r, 4) for r in RANKS},
         "fixed_points": {r: localization.fixed_point_data(
             r, (fp for total in range(5)
                 for fp in localization.fixed_points_of_size(r, total)))
@@ -46,8 +48,7 @@ def _listed(lead, bad):
 
 
 def _product_vs_localization(v):
-    bad = [str(list(r)) for r in RANKS
-           if localization.brute_force_Z(r, 4) != v["Z"][r]]
+    bad = [str(list(r)) for r in RANKS if v["brute"][r] != v["Z"][r]]
     return not bad, "ranks %s at order 4%s" % (
         [list(r) for r in RANKS], _listed("; mismatch at ", bad))
 
@@ -68,9 +69,12 @@ def _u_variable_product(v):
 
 
 def _w_factorization(v):
-    # BLOCKS[0] has one block: the L = 1 case, its W-character alone is Z
-    bad = ["m=%s s=%s" % (list(m), list(s)) for m, s in BLOCKS
-           if not characters.verify_WZ(m, s, 4)["equal"]]
+    # BLOCKS[0] has one block: the L = 1 case, its W-character alone is Z;
+    # every block rank vector is in RANKS, so both sides come from shared()
+    ranks = [characters.rank_vector_from(characters.BlockData(m, s))
+             for m, s in BLOCKS]
+    bad = ["m=%s s=%s" % (list(m), list(s)) for (m, s), r in zip(BLOCKS, ranks)
+           if not characters.verify_WZ(m, s, 4, v["Z"][r], v["brute"][r])["equal"]]
     return (not bad, "4 block shapes at order 4, with localization cross-check"
             + _listed("; failed: ", bad))
 

@@ -157,25 +157,30 @@ def w_refined_verma_factors(b):
     return out
 
 
-def verify_WZ(m, s, n_max):
+def verify_WZ(m, s, n_max, lhs=None, localized=None):
     """Check the product form of the generating function of the blocks
     (m, s) against the refined Verma character times the B-truncation
     characters.
 
     Also cross-checks the left side against the localization sum, in the
-    report's one check, named "localization cross-check".
+    report's one check, named "localization cross-check".  `lhs` and
+    `localized`, when the caller has them already, are theorem_Z and
+    brute_force_Z of the blocks' rank vector at n_max.
     """
     b = BlockData(m, s)
     if b.ell < 2:
         raise ValueError("need ell >= 2")
     r = rank_vector_from(b)
-    lhs = theorem_Z(r, n_max)
+    if lhs is None:
+        lhs = theorem_Z(r, n_max)
+    if localized is None:
+        localized = brute_force_Z(r, n_max)
     factors = w_refined_verma_factors(b)
     for i, j in itertools.combinations(range(1, b.L + 1), 2):
         factors.extend(b_character_factors(b, i, j))
     rhs = expand_factors(b, factors, n_max)
     report = series_diff_report(lhs, rhs)
-    check = dict(series_diff_report(brute_force_Z(r, n_max), lhs),
+    check = dict(series_diff_report(localized, lhs),
                  name="localization cross-check")
     return dict(report, equal=report["equal"] and check["equal"],
                 checks=[check])
@@ -259,14 +264,15 @@ def _expand_zv(N, n_max, v_cap, factors):
     boxed = expand_product((0,) * N, N * n_max + v_cap * (N * N // 4),
                            [(0, u_qtilde(f.z, f.u)) for f in factors], bounds)
     # column by column, v_k = e_(k-1) - e_k for e = (z, q{N-1}, .., q1, z)
-    cols = list(zip(*boxed.terms))
+    cols = boxed.columns()
     e = [cols[1], *cols[N:1:-1], cols[1]]
     vs = [list(map(sub, x, y)) for x, y in zip(e, e[1:])]
-    keep = map(v_cap.__ge__, map(max, itertools.repeat(0),
-                                 *[map(abs, v) for v in vs]))
+    keep = list(map(v_cap.__ge__, map(max, itertools.repeat(0),
+                                      *[map(abs, v) for v in vs])))
     # z <= n_max by the bound on q0, and every coefficient is positive
-    return Series(window, dict(itertools.compress(
-        zip(zip(cols[1], *vs), boxed.terms.values()), keep)))
+    return Series.from_columns(window, [
+        list(itertools.compress(x, keep)) for x in (cols[1], *vs)],
+        list(itertools.compress(boxed._coeffs, keep)))
 
 
 def affine_verma_factors(N):

@@ -13,8 +13,12 @@ of one space only.  The two kernels pack all variables but one, the limb,
 into mixed-radix integers, so a monomial product is one integer addition,
 and hold the limb's polynomial at a key as one integer of fixed-width
 slots, in one format that `_Slots` reads back: signed digits in
-`product`, coefficients >= 0 in `expand`.  Tuples come back only in the
-result's terms.  `product`, which `*` calls, multiplies any number of
+`product`, coefficients >= 0 in `expand`.  A Series stores its terms
+packed, in canonical order (descending lexicographic): one column of
+mixed-radix keys, fixed by the support alone, and one column of
+coefficients.  The kernels read their operands' columns and write the
+result's directly, building no exponent tuple per term; `Series.terms`
+decodes a fresh dict on each access.  `product`, which `*` calls, multiplies any number of
 series at once, packing each once and the running product never
 unpacked.  `expand` divides by each inverse Pochhammer factor (1 - m) in
 place, which only adds, so no slot carries, highest graded degree first.
@@ -32,8 +36,8 @@ iterator.
 # the C encoder json.encoder re-exports, taken without loading json
 from _json import encode_basestring_ascii
 from collections.abc import Iterator
-from itertools import chain, compress, repeat
-from math import gcd
+from itertools import chain, compress, repeat, zip_longest
+from math import gcd, prod
 from operator import add, itemgetter
 from struct import Struct
 
@@ -146,33 +150,114 @@ class _Packing:
             w *= self.radix[i]
         self.weights = tuple(weights)
 
-    def pack(self, monos, offsets):
-        """The key of each exponent tuple in a collection."""
-        keys = [0] * len(monos)
-        for col, o, w in zip(zip(*monos), offsets, self.weights):
-            keys = [k + (e - o) * w for k, e in zip(keys, col)]
+    def pack(self, cols, offsets, n):
+        """The key of each of n exponent tuples, given as columns, one per
+        variable."""
+        keys = [0] * n
+        for col, o, w in zip(cols, offsets, self.weights):
+            if w:
+                keys = [k + (e - o) * w for k, e in zip(keys, col)]
         return keys
 
     def unpack(self, keys):
-        """The exponent tuple of each key (a collection), with offsets lo."""
+        """The exponent columns of the keys (a collection), one per
+        variable, with offsets lo."""
         cols = [repeat(o, len(keys)) for o in self.lo]
         for i in self.order:
             o, r = self.lo[i], self.radix[i]
             cols[i] = [k % r + o for k in keys]
             keys = [k // r for k in keys]
-        return zip(*cols) if cols else [()] * len(keys)
+        return cols
+
+
+def _store_packing(lo, hi):
+    """A series' packing: the first variable most significant, so key order
+    is lexicographic order."""
+    return _Packing(lo, hi, range(len(lo) - 1, -1, -1))
+
+
+def _nwords(pack):
+    """The 8-byte words of a key of a store packing."""
+    return max(1, ((prod(pack.radix) - 1).bit_length() + 63) // 64)
+
+
+def _key_bytes(keys, nwords):
+    """A key column: each key as nwords native 8-byte words, top word
+    first."""
+    if nwords > 1:
+        keys = [k >> s & 0xFFFFFFFFFFFFFFFF for k in keys
+                for s in range(64 * nwords - 64, -1, -64)]
+    else:
+        keys = list(keys)
+    return Struct("%dQ" % len(keys)).pack(*keys)
+
+
+def _key_ints(data, nwords):
+    """The keys of a key column, as a sequence of ints."""
+    words = memoryview(data).cast("Q")
+    keys = words[::nwords]    # the top words
+    for j in range(1, nwords):
+        keys = [(a << 64) + w for a, w in zip(keys, words[j::nwords])]
+    return keys
+
+
+def _stored(cols, coeffs, width):
+    """(packing, key column, coefficient column) of the terms with exponent
+    columns `cols` (distinct monomials) and nonzero `coeffs`, in any order,
+    put in canonical order."""
+    n = len(coeffs)
+    lo = tuple(map(min, cols)) if n else (0,) * width
+    hi = tuple(map(max, cols)) if n else lo
+    pack = _store_packing(lo, hi)
+    keys = pack.pack(cols, lo, n)
+    order = sorted(range(n), key=keys.__getitem__, reverse=True)
+    return (pack, _key_bytes(map(keys.__getitem__, order), _nwords(pack)),
+            list(map(coeffs.__getitem__, order)))
+
+
+def _series(space, pack, keys, coeffs):
+    """The Series of a store already in canonical order."""
+    s = Series.__new__(Series)
+    s.space, s._pack, s._keys, s._coeffs = space, pack, keys, coeffs
+    return s
 
 
 class Series:
-    """Immutable truncated Laurent series over a VariableSpace."""
+    """Immutable truncated Laurent series over a VariableSpace.
 
-    __slots__ = ("space", "terms")
+    The terms are stored in canonical order, descending lexicographic on
+    exponent tuples: `_keys`, each monomial's key under `_pack`, the store
+    packing of the least and greatest exponent of each variable over the
+    terms, as `_key_bytes` writes it; and `_coeffs`, the coefficients, all
+    nonzero.  The packing depends on the support alone, so equal series
+    have equal columns."""
+
+    __slots__ = ("space", "_pack", "_keys", "_coeffs")
 
     def __init__(self, space, terms):
         # trusted constructor: terms must already be clean (admissible
         # monomials, no zero coefficients); external callers use from_terms
         self.space = space
-        self.terms = terms
+        self._pack, self._keys, self._coeffs = _stored(
+            list(zip(*terms)), list(terms.values()), len(space.names))
+
+    @classmethod
+    def from_columns(cls, space, cols, coeffs):
+        """Trusted constructor from exponent columns, one sequence per
+        variable, and nonzero coefficients (lists), of distinct admissible
+        monomials in any order."""
+        return _series(space, *_stored(cols, coeffs, len(space.names)))
+
+    @property
+    def terms(self):
+        """The terms as a dict {exponent tuple: coefficient}, decoded from
+        the store afresh on every access."""
+        return dict(self._items())
+
+    def columns(self):
+        """The exponent columns of the terms, one list per variable, in
+        canonical order."""
+        return self._pack.unpack(_key_ints(self._keys, _nwords(self._pack)))
 
     @classmethod
     def from_terms(cls, space, terms):
@@ -207,7 +292,7 @@ class Series:
 
     def __add__(self, other):
         self._require_same(other)
-        out = dict(self.terms)
+        out = self.terms
         for m, c in other.terms.items():
             nc = out.get(m, 0) + c
             if nc:
@@ -217,7 +302,8 @@ class Series:
         return Series(self.space, out)
 
     def __neg__(self):
-        return Series(self.space, {m: -c for m, c in self.terms.items()})
+        return _series(self.space, self._pack, self._keys,
+                       [-c for c in self._coeffs])
 
     def __sub__(self, other):
         return self + (-other)
@@ -228,7 +314,10 @@ class Series:
     def __eq__(self, other):
         return (isinstance(other, Series)
                 and self.space == other.space
-                and self.terms == other.terms)
+                and self._pack.lo == other._pack.lo
+                and self._pack.radix == other._pack.radix
+                and self._keys == other._keys
+                and self._coeffs == other._coeffs)
 
     def coefficient(self, m):
         return self.terms.get(tuple(m), 0)
@@ -248,7 +337,13 @@ class Series:
 
     def terms_sorted(self):
         """Canonical order: descending lexicographic on exponent tuples."""
-        return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
+        return list(self._items())
+
+    def _items(self):
+        """(exponent tuple, coefficient) of each term, in canonical order."""
+        cols = self.columns()
+        return zip(zip(*cols) if cols else repeat((), len(self._coeffs)),
+                   self._coeffs)
 
     def __repr__(self):
         return "Series(%s)" % (render_text(self),)
@@ -275,21 +370,29 @@ class _Slots:
         self.codes = codes[:-1] + codes[-1].lower() if signed else codes
         self.half = signed << self.size - 1    # h, or 0 if unsigned
 
-    def terms(self, keys, buckets, limb, g, firsts):
-        """The nonzero terms in `buckets`, dicts {packed key: integer}, each
-        cleared once read; `firsts` gives each bucket's first limb exponent."""
+    def series(self, space, keys, buckets, limb, g, firsts):
+        """The Series of `space` whose terms are the nonzero slots in
+        `buckets`, dicts {packed key: integer} under `keys`, each cleared
+        once read; `firsts` gives each bucket's first limb exponent.
+
+        The terms come out in canonical order with no sort of them: the
+        packed keys are sorted by their store key less the limb's digit,
+        and each run of keys equal before the limb is read slot by slot,
+        from the greatest limb exponent down."""
         size, codes, half = self.size, self.codes, self.half
         nwords = len(codes)
         readers = {}    # slot count -> (read, bias)
-        terms = {}
+        xs, rows, starts = [], [], []    # key, slots, first slot's exponent
         for b, first in zip(buckets, firsts):
-            if limb is None:
-                terms.update(compress(zip(keys.unpack(b), b.values()), b.values()))
-                b.clear()
-                continue
-            n = max(map(int.bit_length, b.values()), default=0) // size + 1
-            cells = [(first + g * j,) for j in range(n)]
-            for t, v in zip(keys.unpack(b), b.values()):
+            for x, v in b.items():
+                if not v:
+                    continue
+                if limb is None:
+                    xs.append(x)
+                    rows.append((v,))
+                    continue
+                low = ((v & -v).bit_length() - 1) // size    # zero slots
+                v >>= low * size
                 n = v.bit_length() // size + 1    # slots
                 if n not in readers:
                     readers[n] = (Struct("<" + codes * n).unpack,
@@ -299,11 +402,47 @@ class _Slots:
                 slots = words[nwords - 1::nwords]    # the top words, signed or not
                 for j in range(nwords - 2, -1, -1):
                     slots = [(a << 64) + w for a, w in zip(slots, words[j::nwords])]
-                monos = map(add, map(add, repeat(t[:limb]), compress(cells, slots)),
-                            repeat(t[limb + 1:]))    # of the nonzero slots only
-                terms.update(zip(monos, compress(slots, slots)))
+                xs.append(x)
+                rows.append(slots)
+                starts.append(first + g * low)
             b.clear()
-        return terms
+        if not rows:
+            return Series(space, {})
+        cols = keys.unpack(xs)
+        lo = [0 if i == limb else min(c) for i, c in enumerate(cols)]
+        hi = [0 if i == limb else max(c) for i, c in enumerate(cols)]
+        if limb is not None:
+            # an unsigned top slot may be 0, below it none is
+            lo[limb] = min(starts)
+            hi[limb] = max(s + g * (len(r) - 1 - (not r[-1]))
+                           for s, r in zip(starts, rows))
+            cols[limb] = repeat(lo[limb])
+        pack = _store_packing(tuple(lo), tuple(hi))
+        nw = _nwords(pack)
+        base = pack.pack(cols, lo, len(xs))    # the limb's digit left out
+        order = sorted(range(len(xs)), key=base.__getitem__, reverse=True)
+        if limb is None:
+            return _series(space, pack, _key_bytes(map(base.__getitem__, order), nw),
+                           [rows[i][0] for i in order])
+        w = pack.weights[limb]
+        span = w * pack.radix[limb]
+        chunks, coeffs = [], []
+        at = 0
+        while at < len(order):
+            # the keys that agree on every variable before the limb
+            top, k = base[order[at]] // span, at + 1
+            while k < len(order) and base[order[k]] // span == top:
+                k += 1
+            run, at = order[at:k], k
+            run_base = [base[i] for i in run]
+            table = list(zip_longest(*[chain(repeat(0, (starts[i] - lo[limb]) // g),
+                                             rows[i]) for i in run], fillvalue=0))
+            for p in range(len(table) - 1, -1, -1):
+                col = table[p]
+                chunks.append(_key_bytes(map(add, compress(run_base, col),
+                                             repeat(g * p * w)), nw))
+                coeffs += compress(col, col)
+        return _series(space, pack, b"".join(chunks), coeffs)
 
 
 def product(space, operands):
@@ -340,17 +479,18 @@ def product(space, operands):
         if not isinstance(s, Series) or s.space != space:
             raise SeriesError("product: operand not a Series of %r" % (space,))
     unit = space.unit()
-    if not all(s.terms for s in operands):
+    if not all(s._coeffs for s in operands):
         return Series(space, {})
     if not operands:
         return Series(space, {unit: 1})
     trunc = space.truncation
-    cols = [list(zip(*s.terms)) for s in operands]
-    los = [tuple(map(min, c)) for c in cols]
-    his = [tuple(map(max, c)) for c in cols]
+    cols = [s.columns() for s in operands]
+    los = [s._pack.lo for s in operands]
+    his = [tuple(l + r - 1 for l, r in zip(s._pack.lo, s._pack.radix))
+           for s in operands]
     degs = []
     for s, c in zip(operands, cols):
-        d = [0] * len(s.terms)
+        d = [0] * len(s._coeffs)
         for i in space._gidx:
             d = list(map(add, d, c[i]))
         degs.append(d)
@@ -365,7 +505,7 @@ def product(space, operands):
     image = [1] + [0] * trunc
     for s, d in zip(operands, degs):
         img = [0] * (trunc + 1)
-        for e, c in zip(d, s.terms.values()):
+        for e, c in zip(d, s._coeffs):
             img[e] += abs(c)
         image = [sum(image[i] * img[e - i] for i in range(e + 1))
                  for e in range(trunc + 1)]
@@ -377,8 +517,8 @@ def product(space, operands):
         shifts = (repeat(0) if limb is None else
                   [(e - lo[limb]) // g * slots.size for e in cols[k][limb]])
         buckets = [{} for _ in range(trunc + 1)]
-        for d, x, c, sh in zip(degs[k], keys.pack(s.terms, lo),
-                               s.terms.values(), shifts):
+        for d, x, c, sh in zip(degs[k], keys.pack(cols[k], lo, len(s._coeffs)),
+                               s._coeffs, shifts):
             b = buckets[d]
             b[x] = b.get(x, 0) + (c << sh)
         return buckets
@@ -398,7 +538,7 @@ def product(space, operands):
                         dst[x] = get(x, 0) + v1 * v2
         acc = out
     del cols, degs    # unpacking sets the peak memory
-    return Series(space, slots.terms(keys, acc, limb, g, repeat(first)))
+    return slots.series(space, keys, acc, limb, g, repeat(first))
 
 
 def geometric_inverse(space, m):
@@ -515,7 +655,7 @@ def expand(space, families, bounds=None):
     factors = []    # (degree, packed key, slot shift) of each factor
     for base, step in fams:
         # balanced-digit keys (offsets 0): adding one multiplies by it
-        m, dm = keys.pack([base, step], unit)
+        m, dm = keys.pack(zip(base, step), unit, 2)
         d, dd = space.gdeg(base), space.gdeg(step)
         count = (trunc - d) // dd + 1
         for i, b in bounded.items():
@@ -537,7 +677,7 @@ def expand(space, families, bounds=None):
             img[deg + d] += img[deg]
     slots = _Slots(max(img).bit_length(), False)
     buckets = [{} for _ in range(trunc + 1)]
-    buckets[0][keys.pack([unit], keys.lo)[0]] = 1
+    buckets[0][keys.pack(zip(unit), keys.lo, 1)[0]] = 1
     for d, m, s in factors:
         s *= slots.size
         for deg in range(trunc - d + 1):
@@ -547,8 +687,8 @@ def expand(space, families, bounds=None):
                 x += m
                 if not x & guard:
                     dst[x] = get(x, 0) + (c << s)
-    return Series(space, slots.terms(keys, buckets, limb, g,
-                                     [-g * beta * d for d in range(trunc + 1)]))
+    return slots.series(space, keys, buckets, limb, g,
+                        [-g * beta * d for d in range(trunc + 1)])
 
 
 def substitute(s, mapping, target):
@@ -729,20 +869,17 @@ def _series_chunks(s, nl):
     if sp.caps:
         caps = {n: sp.caps[n] for n in sp.names if n in sp.caps}
         head += ',%s"caps": %s' % (i1, _text(caps, i1, None))
-    terms = s.terms
-    if not terms:
+    coeffs = s._coeffs
+    if not coeffs:
         yield head + ',%s"terms": []%s}' % (i1, nl)
         return
     yield head + ',%s"terms": [' % i1
-    ms = sorted(terms, reverse=True)    # the order of terms_sorted()
+    keys = _key_ints(s._keys, _nwords(s._pack))    # in canonical order
     # each variable's cell for every exponent it takes: ',<indent>"name": e',
-    # and "" for 0; a term's cells joined, less the first comma, are its
-    # "exp" entries
-    cells = []
-    for i, name in enumerate(sp.names):
-        cell = "," + i3 + "  " + _key(name)
-        cells.append({e: cell + int.__repr__(e) if e else ""
-                      for e in set(map(itemgetter(i), ms))}.__getitem__)
+    # and "" for 0, made as the exponent first occurs; a term's cells
+    # joined, less the first comma, are its "exp" entries
+    heads = ["," + i3 + "  " + _key(name) for name in sp.names]
+    cells = [{0: ""} for _ in sp.names]
     # a term is a, its entries, b, its coefficient and c; the all-zero
     # monomial alone has no entries, so a + b occurs only there, and it is
     # patched to "exp": {}
@@ -750,13 +887,18 @@ def _series_chunks(s, nl):
     b = '%s},%s"coeff": "' % (i3, i3)
     c = '"%s}' % i2
     drop_comma = itemgetter(slice(1, None))
-    for lo in range(0, len(ms), _BATCH):
-        batch = ms[lo:lo + _BATCH]
+    for lo in range(0, len(coeffs), _BATCH):
+        batch = coeffs[lo:lo + _BATCH]
+        cols = s._pack.unpack(keys[lo:lo + _BATCH])
+        for cell, pre, col in zip(cells, heads, cols):
+            for e in set(col).difference(cell):
+                cell[e] = pre + int.__repr__(e)
         # a space without variables holds only the all-zero monomial
-        cols = list(map(map, cells, zip(*batch))) or [[""] * len(batch)]
+        cols = list(map(map, [cell.__getitem__ for cell in cells], cols)) \
+            or [[""] * len(batch)]
         chunk = "".join(chain.from_iterable(zip(
             repeat(a), map(drop_comma, map("".join, zip(*cols))), repeat(b),
-            map(int.__repr__, map(terms.__getitem__, batch)), repeat(c))))
+            map(int.__repr__, batch), repeat(c))))
         chunk = chunk.replace(a + b, a + b[len(i3):])
         # the first term follows the "[" with no comma
         yield chunk[1:] if lo == 0 else chunk
@@ -814,13 +956,14 @@ def series_diff_report(lhs, rhs):
         raise SeriesError("series_diff_report expects two Series")
     if lhs.space != rhs.space:
         raise SeriesError("series_diff_report: mismatched spaces")
-    if lhs.terms == rhs.terms:
-        return {"equal": True, "coefficients": len(lhs.terms)}
+    if lhs == rhs:
+        return {"equal": True, "coefficients": len(lhs._coeffs)}
     names = lhs.space.names
-    support = lhs.terms.keys() | rhs.terms.keys()
+    lt, rt = lhs.terms, rhs.terms
+    support = lt.keys() | rt.keys()
     for m in sorted(support, reverse=True):
-        cl = lhs.terms.get(m, 0)
-        cr = rhs.terms.get(m, 0)
+        cl = lt.get(m, 0)
+        cr = rt.get(m, 0)
         if cl != cr:
             return {"equal": False, "coefficients": len(support),
                     "first_diff": {"exp": {n: e for n, e in zip(names, m) if e},

@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from laumon import acceptance, characters, series
+from laumon import acceptance, characters, closed_form, localization, series
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +65,24 @@ def test_acceptance_expands_each_verma_denominator_once(monkeypatch):
     assert sorted(calls) == sorted(acceptance.VERMA)
     assert len(calls) == 4
 
+
+
+def test_acceptance_computes_each_order4_sum_once(monkeypatch):
+    """Rows 1 and 4 read theorem_Z and brute_force_Z at order 4 from
+    shared(): one call of each per rank vector of RANKS, every block rank
+    vector of criterion 4 being among them."""
+    calls = Counter()
+    for module, name in ((closed_form, "theorem_Z"), (characters, "theorem_Z"),
+                         (localization, "brute_force_Z"),
+                         (characters, "brute_force_Z")):
+        def counted(r, n, real=getattr(module, name), name=name):
+            calls[name, tuple(r), n] += 1
+            return real(r, n)
+        monkeypatch.setattr(module, name, counted)
+    assert all(r["passed"] for r in acceptance.run())
+    want = {(name, r, 4): 1 for r in acceptance.RANKS
+            for name in ("theorem_Z", "brute_force_Z")}
+    assert {k: n for k, n in calls.items() if k[2] == 4} == want
 
 def factor_dimensions(factors):
     """{dimension: multiplicity} of the generators read off an X_i or X_ij
