@@ -16,16 +16,17 @@ slots, in one format that `_Slots` reads back: signed digits in
 `product`, coefficients >= 0 in `expand`.  A Series stores its terms
 packed, in canonical order (descending lexicographic): one column of
 mixed-radix keys, fixed by the support alone, and one column of
-coefficients.  The kernels read their operands' columns and write the
-result's directly, building no exponent tuple per term; `Series.terms`
-decodes a fresh dict on each access.  `product`, which `*` calls, multiplies any number of
-series at once, packing each once and the running product never
-unpacked.  `expand` divides by each inverse Pochhammer factor (1 - m) in
-place, which only adds, so no slot carries, highest graded degree first.
-It also takes upper bounds on the exponents of variables that no family
-lowers, and then drops each term as soon as it leaves that box, which is
-exact because those exponents only grow; a bounded digit carries a guard
-bit, so the test is one AND per packed key.
+coefficients; one helper, `_canonical`, picks every store's packing and
+order.  The kernels read their operands' columns and write the result's
+directly, building no exponent tuple per term; `Series.terms` decodes a
+fresh dict on each access.  `product`, which `*` calls, multiplies any
+number of series at once, packing each once and the running product
+never unpacked.  `expand` divides by each inverse Pochhammer factor
+(1 - m) in place, which only adds, so no slot carries, highest graded
+degree first.  It also takes upper bounds on the exponents of variables
+that no family lowers, and then drops each term as soon as it leaves
+that box, which is exact because those exponents only grow; a bounded
+digit carries a guard bit, so the test is one AND per packed key.
 
 `json_chunks` streams the text of json.dumps(obj, indent=2).  A subtree
 wrapped in `Shared` is written once per indentation, and that text is
@@ -36,7 +37,7 @@ iterator.
 # the C encoder json.encoder re-exports, taken without loading json
 from _json import encode_basestring_ascii
 from collections.abc import Iterator
-from itertools import chain, compress, repeat, zip_longest
+from itertools import chain, compress, groupby, repeat, zip_longest
 from math import gcd, prod
 from operator import add, itemgetter
 from struct import Struct
@@ -170,12 +171,6 @@ class _Packing:
         return cols
 
 
-def _store_packing(lo, hi):
-    """A series' packing: the first variable most significant, so key order
-    is lexicographic order."""
-    return _Packing(lo, hi, range(len(lo) - 1, -1, -1))
-
-
 def _nwords(pack):
     """The 8-byte words of a key of a store packing."""
     return max(1, ((prod(pack.radix) - 1).bit_length() + 63) // 64)
@@ -201,6 +196,16 @@ def _key_ints(data, nwords):
     return keys
 
 
+def _canonical(cols, lo, hi, n):
+    """(packing, keys, order) of n terms whose exponent columns `cols` lie
+    in lo .. hi: the store packing, the first variable most significant,
+    so key order is lexicographic order; each term's key, with offsets lo;
+    and the term indices in canonical order, keys descending."""
+    pack = _Packing(lo, hi, range(len(lo) - 1, -1, -1))
+    keys = pack.pack(cols, lo, n)
+    return pack, keys, sorted(range(n), key=keys.__getitem__, reverse=True)
+
+
 def _stored(cols, coeffs, width):
     """(packing, key column, coefficient column) of the terms with exponent
     columns `cols` (distinct monomials) and nonzero `coeffs`, in any order,
@@ -208,9 +213,7 @@ def _stored(cols, coeffs, width):
     n = len(coeffs)
     lo = tuple(map(min, cols)) if n else (0,) * width
     hi = tuple(map(max, cols)) if n else lo
-    pack = _store_packing(lo, hi)
-    keys = pack.pack(cols, lo, n)
-    order = sorted(range(n), key=keys.__getitem__, reverse=True)
+    pack, keys, order = _canonical(cols, lo, hi, n)
     return (pack, _key_bytes(map(keys.__getitem__, order), _nwords(pack)),
             list(map(coeffs.__getitem__, order)))
 
@@ -350,16 +353,16 @@ class Series:
 
 
 class _Slots:
-    """The limb polynomial at a packed key, held as one integer of W-bit
+    """The slot decoder of both kernels; `_canonical` packs and orders the
+    store.  The limb polynomial at a packed key is one integer of W-bit
     slots: slot j of a bucket holds the coefficient at limb exponent
     first + g * j, `first` the bucket's own.  A slot is 1, 2, 4 or 8 bytes,
     or k 8-byte words read top word first, W the least such width of at
-    least the bits asked for.  Unsigned slots hold coefficients >= 0.
-    Signed slots hold balanced digits, -2^(W-1) < c < 2^(W-1), read with a
-    borrow: adding h = 2^(W-1) to every slot makes each one c + h, in
-    0 .. 2^W - 1, and the carries of that addition are the borrows;
-    flipping each slot's top bit back leaves c in two's complement, read
-    signed.  Without a limb a value is its coefficient."""
+    least the bits asked for.  Unsigned slots hold coefficients >= 0;
+    signed ones balanced digits, -2^(W-1) < c < 2^(W-1), read with a borrow:
+    adding h = 2^(W-1) to every slot makes each one c + h, in 0 .. 2^W - 1,
+    and the carries of that addition are the borrows; flipping each slot's
+    top bit back leaves c in two's complement, read signed."""
 
     __slots__ = ("size", "codes", "half")
 
@@ -375,10 +378,21 @@ class _Slots:
         `buckets`, dicts {packed key: integer} under `keys`, each cleared
         once read; `firsts` gives each bucket's first limb exponent.
 
-        The terms come out in canonical order with no sort of them: the
-        packed keys are sorted by their store key less the limb's digit,
-        and each run of keys equal before the limb is read slot by slot,
-        from the greatest limb exponent down."""
+        Without a limb a value is its coefficient, and the keys and values
+        go to `Series.from_columns` as they are.  With one, the terms come
+        out in canonical order with no sort of them: the keys are sorted by
+        their store key less the limb's digit, and each run of keys equal
+        before the limb is read slot by slot, from the greatest limb
+        exponent down."""
+        if limb is None:
+            xs, coeffs = [], []
+            for b in buckets:
+                xs += compress(b, b.values())
+                coeffs += filter(None, b.values())
+                b.clear()
+            cols = keys.unpack(xs)
+            del xs    # the store's keys, built next, set the peak memory
+            return Series.from_columns(space, cols, coeffs)
         size, codes, half = self.size, self.codes, self.half
         nwords = len(codes)
         readers = {}    # slot count -> (read, bias)
@@ -386,10 +400,6 @@ class _Slots:
         for b, first in zip(buckets, firsts):
             for x, v in b.items():
                 if not v:
-                    continue
-                if limb is None:
-                    xs.append(x)
-                    rows.append((v,))
                     continue
                 low = ((v & -v).bit_length() - 1) // size    # zero slots
                 v >>= low * size
@@ -409,31 +419,20 @@ class _Slots:
         if not rows:
             return Series(space, {})
         cols = keys.unpack(xs)
-        lo = [0 if i == limb else min(c) for i, c in enumerate(cols)]
+        lo = [min(starts) if i == limb else min(c) for i, c in enumerate(cols)]
         hi = [0 if i == limb else max(c) for i, c in enumerate(cols)]
-        if limb is not None:
-            # an unsigned top slot may be 0, below it none is
-            lo[limb] = min(starts)
-            hi[limb] = max(s + g * (len(r) - 1 - (not r[-1]))
-                           for s, r in zip(starts, rows))
-            cols[limb] = repeat(lo[limb])
-        pack = _store_packing(tuple(lo), tuple(hi))
+        # an unsigned top slot may be 0, below it none is
+        hi[limb] = max(s + g * (len(r) - 1 - (not r[-1]))
+                       for s, r in zip(starts, rows))
+        cols[limb] = repeat(lo[limb])    # base: keys less the limb's digit
+        pack, base, order = _canonical(cols, tuple(lo), tuple(hi), len(xs))
         nw = _nwords(pack)
-        base = pack.pack(cols, lo, len(xs))    # the limb's digit left out
-        order = sorted(range(len(xs)), key=base.__getitem__, reverse=True)
-        if limb is None:
-            return _series(space, pack, _key_bytes(map(base.__getitem__, order), nw),
-                           [rows[i][0] for i in order])
         w = pack.weights[limb]
         span = w * pack.radix[limb]
         chunks, coeffs = [], []
-        at = 0
-        while at < len(order):
-            # the keys that agree on every variable before the limb
-            top, k = base[order[at]] // span, at + 1
-            while k < len(order) and base[order[k]] // span == top:
-                k += 1
-            run, at = order[at:k], k
+        # each run: the keys that agree on every variable before the limb
+        for _, run in groupby(order, lambda i: base[i] // span):
+            run = tuple(run)
             run_base = [base[i] for i in run]
             table = list(zip_longest(*[chain(repeat(0, (starts[i] - lo[limb]) // g),
                                              rows[i]) for i in run], fillvalue=0))
