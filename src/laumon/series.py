@@ -37,7 +37,7 @@ iterator.
 # the C encoder json.encoder re-exports, taken without loading json
 from _json import encode_basestring_ascii
 from collections.abc import Iterator
-from itertools import chain, compress, groupby, repeat, zip_longest
+from itertools import chain, compress, groupby, repeat
 from math import gcd, prod
 from operator import add, itemgetter
 from struct import Struct
@@ -362,7 +362,9 @@ class _Slots:
     signed ones balanced digits, -2^(W-1) < c < 2^(W-1), read with a borrow:
     adding h = 2^(W-1) to every slot makes each one c + h, in 0 .. 2^W - 1,
     and the carries of that addition are the borrows; flipping each slot's
-    top bit back leaves c in two's complement, read signed."""
+    top bit back leaves c in two's complement, read signed.  The slots of
+    every key are read through one little-endian byte table, each column a
+    strided memoryview cast to the slot's code."""
 
     __slots__ = ("size", "codes", "half")
 
@@ -381,9 +383,11 @@ class _Slots:
         Without a limb a value is its coefficient, and the keys and values
         go to `Series.from_columns` as they are.  With one, the terms come
         out in canonical order with no sort of them: the keys are sorted by
-        their store key less the limb's digit, and each run of keys equal
-        before the limb is read slot by slot, from the greatest limb
-        exponent down."""
+        their store key less the limb's digit, and each key's slots, with
+        the borrow, are copied into its row of one table, a column per limb
+        exponent.  Each run of rows equal before the limb is then read one
+        column at a time, from the greatest limb exponent down, as one
+        strided memoryview slice."""
         if limb is None:
             xs, coeffs = [], []
             for b in buckets:
@@ -395,52 +399,65 @@ class _Slots:
             return Series.from_columns(space, cols, coeffs)
         size, codes, half = self.size, self.codes, self.half
         nwords = len(codes)
-        readers = {}    # slot count -> (read, bias)
-        xs, rows, starts = [], [], []    # key, slots, first slot's exponent
+        # h in each of `most` slots: a value spans the limb's range at most,
+        # and n below may count one 0 slot past its top
+        most = (keys.radix[limb] - 1) // g + 2
+        bias = half * ((1 << most * size) - 1) // ((1 << size) - 1)
+        xs, vals, starts = [], [], []    # key, slots, first slot's exponent
+        top = keys.lo[limb]    # the greatest limb exponent of a nonzero slot
         for b, first in zip(buckets, firsts):
             for x, v in b.items():
                 if not v:
                     continue
                 low = ((v & -v).bit_length() - 1) // size    # zero slots
                 v >>= low * size
-                n = v.bit_length() // size + 1    # slots
-                if n not in readers:
-                    readers[n] = (Struct("<" + codes * n).unpack,
-                                  half * ((1 << n * size) - 1) // ((1 << size) - 1))
-                read, bias = readers[n]
-                words = read(((v + bias) ^ bias).to_bytes(n * size // 8, "little"))
-                slots = words[nwords - 1::nwords]    # the top words, signed or not
-                for j in range(nwords - 2, -1, -1):
-                    slots = [(a << 64) + w for a, w in zip(slots, words[j::nwords])]
+                n = v.bit_length() // size + 1    # slots, the top one maybe 0
+                h = bias >> (most - n) * size    # h in each of the n
+                v = (v + h) ^ h    # each slot's two's complement
+                start = first + g * low
+                top = max(top, start + g * ((v.bit_length() - 1) // size))
                 xs.append(x)
-                rows.append(slots)
-                starts.append(first + g * low)
+                vals.append(v)
+                starts.append(start)
             b.clear()
-        if not rows:
+        if not xs:
             return Series(space, {})
         cols = keys.unpack(xs)
         lo = [min(starts) if i == limb else min(c) for i, c in enumerate(cols)]
-        hi = [0 if i == limb else max(c) for i, c in enumerate(cols)]
-        # an unsigned top slot may be 0, below it none is
-        hi[limb] = max(s + g * (len(r) - 1 - (not r[-1]))
-                       for s, r in zip(starts, rows))
+        hi = [top if i == limb else max(c) for i, c in enumerate(cols)]
         cols[limb] = repeat(lo[limb])    # base: keys less the limb's digit
         pack, base, order = _canonical(cols, tuple(lo), tuple(hi), len(xs))
+        del cols, xs
+        # the table: a row of `width` slots per key, in canonical order
+        width = (top - lo[limb]) // g + 1
+        table = bytearray(len(order) * width * size // 8)
+        for r, i in enumerate(order):
+            at = (r * width + (starts[i] - lo[limb]) // g) * size // 8
+            data = vals[i].to_bytes((vals[i].bit_length() + 7) // 8, "little")
+            table[at:at + len(data)] = data
+        del vals, starts
+        tops = memoryview(table).cast(codes[-1])    # each slot's top word
+        words = memoryview(table).cast("Q") if nwords > 1 else None
         nw = _nwords(pack)
         w = pack.weights[limb]
         span = w * pack.radix[limb]
+        stride = width * nwords    # words per row
         chunks, coeffs = [], []
-        # each run: the keys that agree on every variable before the limb
-        for _, run in groupby(order, lambda i: base[i] // span):
-            run = tuple(run)
-            run_base = [base[i] for i in run]
-            table = list(zip_longest(*[chain(repeat(0, (starts[i] - lo[limb]) // g),
-                                             rows[i]) for i in run], fillvalue=0))
-            for p in range(len(table) - 1, -1, -1):
-                col = table[p]
-                chunks.append(_key_bytes(map(add, compress(run_base, col),
+        r = 0
+        # each run: the rows that agree on every variable before the limb
+        for _, run in groupby(map(base.__getitem__, order), lambda x: x // span):
+            run = list(run)
+            end = (r + len(run)) * stride
+            for p in range(width - 1, -1, -1):
+                at = (r * width + p) * nwords
+                col = tops[at + nwords - 1:end:stride]
+                for j in range(nwords - 2, -1, -1):
+                    col = [(a << 64) + u for a, u in zip(col, words[at + j:end:stride])]
+                chunks.append(_key_bytes(map(add, compress(run, col),
                                              repeat(g * p * w)), nw))
                 coeffs += compress(col, col)
+            r += len(run)
+        del base, order, run, tops, words, table    # before the join copies
         return _series(space, pack, b"".join(chunks), coeffs)
 
 
