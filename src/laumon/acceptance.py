@@ -2,7 +2,8 @@
 rows: every identity in scope on a fixed grid, then the golden fixtures.
 check(values) returns (passed, detail), values being what `shared()`
 computes once.  Library functions are looked up on their modules at call
-time, so a caller that rebinds a module attribute sees every call."""
+time, so a caller that rebinds a module attribute sees every call.  No row
+enumerates fixed points: rows 5 and 9 count them in brute_force_Z."""
 
 import random
 from importlib import resources
@@ -20,9 +21,8 @@ GOLDEN = (tuple(("zr_%s.json" % "_".join(map(str, r)), "Z", r) for r in RANKS)
 
 
 def shared():
-    """theorem_Z and brute_force_Z at order 4 and fixed_point_data for
-    totals <= 4 per rank, the golden Verma denominators, and 50 seeded
-    block shapes."""
+    """theorem_Z, brute_force_Z and the pairwise certificate at order 4
+    per rank, the golden Verma denominators, and 50 seeded block shapes."""
     rng = random.Random(20260823)
     shapes = []
     for _ in range(50):
@@ -33,10 +33,9 @@ def shared():
     return {
         "Z": {r: closed_form.theorem_Z(r, 4) for r in RANKS},
         "brute": {r: localization.brute_force_Z(r, 4) for r in RANKS},
-        "fixed_points": {r: localization.fixed_point_data(
-            r, (fp for total in range(5)
-                for fp in localization.fixed_points_of_size(r, total)))
-            for r in RANKS},
+        "certificate": {r: {c["name"]: c["equal"] for c in
+                            localization.pairwise_certificate(r, 4)["checks"]}
+                        for r in RANKS},
         "verma": {(n, 4, 4): characters.affine_verma_denominator(n, 4, 4)
                   for n in (2, 3)},
         "shapes": shapes,
@@ -80,9 +79,9 @@ def _w_factorization(v):
 
 
 def _morse_vs_weight_count(v):
-    data = [d for r in RANKS for d in v["fixed_points"][r]]
-    return (all(w == w_tangent for _, w, _, _, w_tangent in data),
-            "%d fixed points, totals <= 4, criterion-1 ranks" % len(data))
+    count = sum(c for r in RANKS for _, c in v["brute"][r].terms_sorted())
+    return (all(v["certificate"][r]["index"] for r in RANKS),
+            "%d fixed points, totals <= 4, criterion-1 ranks" % count)
 
 
 def _box_count_bijections(v):
@@ -105,13 +104,12 @@ def _partition_sum_identity(v):
 
 def _tangent_invariants(v):
     # the invariant count's formula, the dimension, was found numerically
-    ok, zeros = True, {}
+    zeros = {}
     for r in RANKS:
-        for occ, w, terms, inv, _ in v["fixed_points"][r]:
-            ok = ok and (terms, inv) == (2 * sum(r) * sum(occ), sum(
-                n * (r[a] + r[a - 1]) for a, n in enumerate(occ))) and w >= 0
-            zeros[r, occ] = zeros.get((r, occ), 0) + (w == 0)
-    return ok and set(zeros.values()) == {1}, (
+        for m, c in v["brute"][r].terms_sorted():
+            zeros[r, m[1:]] = zeros.get((r, m[1:]), 0) + c * (m[0] == 0)
+    return (all(v["certificate"][r]["counts"] for r in RANKS)
+            and set(zeros.values()) == {1}), (
         "raw counts, invariant count sum_a n_a (r_a + r_(a-1)), one index-0 "
         "point per occupation, index positivity on the criterion-5 grid")
 

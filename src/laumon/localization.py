@@ -8,20 +8,21 @@ a rank vector r and an occupation vector n are tuples of colored Young
 diagrams, one per sector 1..sum(r), whose combined color counts equal n;
 `sectors(r)` lays out each sector's residue and offset, once.
 Per-fixed-point data (Morse indices, tangent characters) enumerates the
-tuples, and both index passes read one per-call component table; the
-generating function factors over the components instead: it is one
-`series.product` call over R reweighted copies of the colored partition
-sum of Lemma 3.2, one per sector.  It uses only partitions and the
-per-component Morse formula, never the closed product forms.
+tuples, and both index passes read one per-call component table.  The
+rest factors over components and sector pairs instead: the generating
+function is one `series.product` call over R reweighted copies of the
+colored partition sum of Lemma 3.2, one per sector, and
+`pairwise_certificate` checks the Morse formula at every fixed point up
+to a total from pairs and single components.  Neither reads the closed
+product forms.
 
-Rank vectors are validated once, by `check_ranks` at the entry points
-(`brute_force_Z` and the fixed-point enumerations); the per-component
-helpers take an already-checked tuple.
+Rank vectors are validated once, by `check_ranks` at the entry points;
+the per-component helpers take an already-checked tuple.
 """
 
 import itertools
 from collections import Counter
-from operator import mul, sub
+from operator import add, mul, sub
 
 from .partitions import (col_heights, colored_counts, partition_sums,
                          partitions_upto)
@@ -328,6 +329,52 @@ def fixed_point_data(r, fps):
             oracle += o
         out.append((tuple(map(sum, zip(*ccs))), sum(ws), total, inv, oracle))
     return out
+
+
+def pairwise_certificate(r, n):
+    """Two checks at every fixed point of total <= n: `index`,
+    morse_index_formula equals the weight count; `counts`, the raw count is
+    2 R |mu|, the invariant count sum_a n_a (r_a + r_(a-1)) and the index
+    >= 0.  The counts sum `_walk_counts` over ordered sector pairs, and the
+    pairs (alpha, beta) and (beta, alpha), alpha < beta, of one shift sum to
+    C(mu_alpha, mu_beta).  A check holds iff C(mu, nu) = C(mu, ()) + C((), nu)
+    on nonempty mu, nu with |mu| + |nu| <= n and it holds at each one-component
+    point; a failure holds the [raw, invariant, weight] counts got and want."""
+    r = check_ranks(r)
+    ell, secs, classes = len(r), sectors(r), pair_classes(r)
+    by_size, dims = partitions_upto(n), list(map(add, r, r[-1:] + r[:-1]))
+    walks = {}   # the `_walk_counts` of each (mu, nu) walked
+
+    def counts(mu, nu, shift, first):
+        if (mu, nu) not in walks:
+            walks[mu, nu] = _walk_counts(_pair_walk(mu, nu), ell)
+        return walks[mu, nu][2 * (-shift % ell) + first]
+
+    def c_pair(mu, nu, shift):
+        return map(add, counts(mu, nu, shift, 1), counts(nu, mu, -shift, 0))
+
+    comps = []
+    for d, (a, _) in enumerate(secs):
+        for mu in (mu for size in by_size[1:] for mu in size):
+            mus = [mu if k == d else () for k in range(len(secs))]
+            got = map(sum, zip(*(counts(mus[alpha], mus[beta], shift, first)
+                                 for alpha, beta, shift, first in classes)))
+            want = [2 * sum(r) * sum(mu), sum(map(mul, colored_counts(
+                mu, a, ell), dims)), morse_index_formula(mu, d + 1, r)]
+            comps.append(({"beta": d + 1, "mu": mu}, list(got), want))
+    pairs = (({"shift": s, "mu": mu, "nu": nu}, [c - x - y for c, x, y in zip(
+        c_pair(mu, nu, s), c_pair(mu, (), s), c_pair((), nu, s))], [0] * 3)
+        for s in sorted({shift for _, _, shift, first in classes if first})
+        for k in range(1, n) for mu in by_size[k]
+        for m in range(1, n - k + 1) for nu in by_size[m])
+    index, tally, checked = [], [], 0
+    for checked, (w, got, want) in enumerate(itertools.chain(pairs, comps), 1):
+        case = dict(w, got=got, want=want)
+        index += [case] if got[2] != want[2] else []
+        tally += [case] if got[:2] != want[:2] or want[2] < 0 else []
+    return {"equal": not index and not tally, "checks": [
+        {"name": name, "equal": not f, "checked": checked, "failures": f[:10]}
+        for name, f in (("index", index), ("counts", tally))]}
 
 
 def brute_force_Z(r, n_max):

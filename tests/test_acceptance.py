@@ -84,6 +84,18 @@ def test_acceptance_computes_each_order4_sum_once(monkeypatch):
             for name in ("theorem_Z", "brute_force_Z")}
     assert {k: n for k, n in calls.items() if k[2] == 4} == want
 
+
+def test_acceptance_builds_no_fixed_point(monkeypatch):
+    """Rows 5 and 9 read the pairwise certificate and brute_force_Z at
+    order 4: no row enumerates fixed points or reads their data."""
+    def refuse(*args):
+        raise AssertionError("fixed point enumeration in acceptance")
+    monkeypatch.setattr(localization.FixedPoint, "__init__", refuse)
+    for name in ("fixed_points_of_size", "fixed_point_data"):
+        monkeypatch.setattr(localization, name, refuse)
+    assert all(r["passed"] for r in acceptance.run())
+
+
 def factor_dimensions(factors):
     """{dimension: multiplicity} of the generators read off an X_i or X_ij
     factor list: a diagonal factor (y^zy z) is one generator of dimension

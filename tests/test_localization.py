@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from laumon import acceptance
+from laumon import acceptance, localization
 from laumon.localization import (FixedPoint, _compositions, _pair_terms,
                                  _pair_walk, brute_force_Z,
                                  check_ranks, enumerate_fixed_points,
@@ -14,7 +14,8 @@ from laumon.localization import (FixedPoint, _compositions, _pair_terms,
                                  fixed_points_of_size, invariant_part,
                                  morse_index_formula, morse_index_from_tangent,
                                  morse_index_oracle, morse_indices,
-                                 sector_index, tangent_character, tangent_count)
+                                 pairwise_certificate, sector_index,
+                                 tangent_character, tangent_count)
 from laumon.partitions import boxes, col_heights, enumerate_partitions
 from laumon.series import Series, canonical_space, to_json_dict
 
@@ -400,3 +401,96 @@ def test_fixed_points_of_size_matches_per_composition():
         for total in range(6):
             assert [fp.mus for fp in fixed_points_of_size(r, total)] \
                 == reference(r, total)
+
+
+CERTIFIED_RANKS = acceptance.RANKS + ((3, 2, 1, 1), (1, 1, 1, 1, 1))
+
+
+def enumerated_verdicts(r, top):
+    """(index holds, counts holds) at each n = 0..top, as the statements of
+    `pairwise_certificate` read at every fixed point of total <= n."""
+    fps = [fp for total in range(top + 1)
+           for fp in fixed_points_of_size(r, total)]
+    first_bad = [top + 1, top + 1]
+    for occ, w, raw, inv, oracle in fixed_point_data(r, fps):
+        size = sum(occ)
+        if w != oracle:
+            first_bad[0] = min(first_bad[0], size)
+        if w < 0 or (raw, inv) != (2 * sum(r) * size, sum(
+                c * (r[a] + r[a - 1]) for a, c in enumerate(occ))):
+            first_bad[1] = min(first_bad[1], size)
+    return [(n < first_bad[0], n < first_bad[1]) for n in range(top + 1)]
+
+
+def certified_verdicts(r, top):
+    out = []
+    for n in range(top + 1):
+        rep = pairwise_certificate(r, n)
+        assert [c["name"] for c in rep["checks"]] == ["index", "counts"]
+        assert rep["equal"] == all(c["equal"] for c in rep["checks"])
+        out.append(tuple(c["equal"] for c in rep["checks"]))
+    return out
+
+
+def test_pairwise_certificate_matches_the_enumeration():
+    """At every n <= 6 both checks pass, as the enumeration over every
+    fixed point of total <= n finds; the count of pairs and components
+    checked depends only on n and the pair classes."""
+    for r in CERTIFIED_RANKS:
+        assert certified_verdicts(r, 6) == enumerated_verdicts(r, 6) \
+            == [(True, True)] * 7, r
+    rep = pairwise_certificate((2, 2, 1), 4)
+    # shifts 0, 1 and 2 of pairs alpha < beta: 3 x 15 pairs of nonempty
+    # diagrams with total <= 4, and 5 sectors x 11 nonempty diagrams
+    assert [c["checked"] for c in rep["checks"]] == [100, 100]
+    with pytest.raises(ValueError):
+        pairwise_certificate((2, 1), -1)
+
+
+def tie_rule_dropped(real):
+    """Zero T2 weights count as negative for no pair alpha < beta."""
+    def mutated(walk, ell):
+        out = real(walk, ell)
+        t, i, o = out[1]
+        out[1] = (t, i, o - walk[1].count(0))
+        return out
+    return mutated
+
+
+def omega_shifted(real):
+    """Each shift reads the counts of the next Omega rotation."""
+    def mutated(walk, ell):
+        out = real(walk, ell)
+        return out[2:] + out[:2]
+    return mutated
+
+
+def invariants_of_3_box_walks(real):
+    return lambda walk, ell: [(t, i + (t == 3), o)
+                              for t, i, o in real(walk, ell)]
+
+
+def formula_at_3_boxes_in_2_columns(real):
+    return lambda counts, col, offset, r: (real(counts, col, offset, r)
+                                           + (sum(counts) == 3 and col == 2))
+
+
+@pytest.mark.parametrize("name, mutation, failing", [
+    ("_walk_counts", tie_rule_dropped, ((2, 1), (2, 2, 1), (2, 1, 1))),
+    ("_walk_counts", omega_shifted, acceptance.RANKS),
+    ("_walk_counts", invariants_of_3_box_walks, acceptance.RANKS),
+    ("_morse_term", formula_at_3_boxes_in_2_columns, acceptance.RANKS)])
+def test_pairwise_certificate_fails_as_the_enumeration_does(
+        monkeypatch, name, mutation, failing):
+    """Under each mutation of the pair counts or the formula, the
+    certificate and the enumeration give the same verdict on each check at
+    each rank and each n <= 6.  At n = 4, as acceptance rows 5 and 9 run
+    it, the criterion-1 ranks that fail are `failing`."""
+    monkeypatch.setattr(localization, name,
+                        mutation(getattr(localization, name)))
+    fails = []
+    for r in CERTIFIED_RANKS:
+        got = certified_verdicts(r, 6)
+        assert got == enumerated_verdicts(r, 6), r
+        fails += [r] if got[4] != (True, True) else []
+    assert [r for r in fails if r in acceptance.RANKS] == list(failing)
